@@ -20,7 +20,7 @@ from typing import Callable, Iterable
 
 from repro.chord.node import ChordNode
 from repro.chord.routing import LookupResult, route
-from repro.core.chord_selection import select_chord
+from repro.core.chord_selection import select_chord, select_chord_block, solver_blocks
 from repro.core.oblivious import select_chord_oblivious, select_uniform_random
 from repro.core.types import SelectionProblem, SelectionResult
 from repro.util.errors import ConfigurationError, NodeAbsentError
@@ -46,6 +46,11 @@ def optimal_policy(
 ) -> SelectionResult:
     """The paper's frequency-aware optimal selection (rng/overlay unused)."""
     return select_chord(problem)
+
+
+#: Bulk form for :meth:`ChordRing.recompute_all_auxiliary`: the same
+#: results as calling the policy per problem, solved a block at a time.
+optimal_policy.select_many = select_chord_block
 
 
 def oblivious_policy(
@@ -381,18 +386,8 @@ class ChordRing:
         :meth:`ChordNode.evict` callers. ``frequency_limit`` truncates to
         the top-n observed peers (the paper's streaming-top-n note).
         """
-        require_non_negative_int(k, "k")
+        problem = self._selection_problem(node_id, k, frequency_limit)
         node = self.nodes[node_id]
-        if not node.alive:
-            raise NodeAbsentError(f"cannot select auxiliaries at dead node {node_id}")
-        frequencies = node.frequency_snapshot(frequency_limit)
-        problem = SelectionProblem(
-            space=self.space,
-            source=node_id,
-            frequencies=frequencies,
-            core_neighbors=frozenset(node.core | set(node.successors)),
-            k=k,
-        )
         tel = self._telemetry
         if tel is not None:
             previous = set(node.auxiliary)
@@ -414,9 +409,42 @@ class ChordRing:
         rng: random.Random,
         frequency_limit: int | None = None,
     ) -> None:
-        """Recompute auxiliary sets at every live node."""
-        for node_id in self.alive_ids():
-            self.recompute_auxiliary(node_id, k, policy, rng, frequency_limit)
+        """Recompute auxiliary sets at every live node.
+
+        A policy with a ``select_many`` bulk form (:func:`optimal_policy`)
+        is solved a block of nodes at a time, in ``alive_ids()`` order,
+        and installs exactly what the per-node calls would; the others,
+        and any policy while telemetry records per-node spans, run
+        :meth:`recompute_auxiliary` node by node.
+        """
+        select_many = getattr(policy, "select_many", None)
+        if select_many is None or self._telemetry is not None:
+            for node_id in self.alive_ids():
+                self.recompute_auxiliary(node_id, k, policy, rng, frequency_limit)
+            return
+        problems = (
+            self._selection_problem(node_id, k, frequency_limit) for node_id in self.alive_ids()
+        )
+        for block in solver_blocks(problems):
+            for problem, result in zip(block, select_many(block)):
+                self.nodes[problem.source].set_auxiliary(set(result.auxiliary))
+
+    def _selection_problem(
+        self, node_id: int, k: int, frequency_limit: int | None
+    ) -> SelectionProblem:
+        """The eq.-1 problem a live node solves: its observed frequencies
+        (top ``frequency_limit``) against its fingers and successors."""
+        require_non_negative_int(k, "k")
+        node = self.nodes[node_id]
+        if not node.alive:
+            raise NodeAbsentError(f"cannot select auxiliaries at dead node {node_id}")
+        return SelectionProblem(
+            space=self.space,
+            source=node_id,
+            frequencies=node.frequency_snapshot(frequency_limit),
+            core_neighbors=frozenset(node.core | set(node.successors)),
+            k=k,
+        )
 
     # ------------------------------------------------------------------
     # Lookups

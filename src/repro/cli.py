@@ -584,7 +584,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.perf.compare import find_regressions, load_bench
+    from repro.perf.compare import find_regressions, load_bench, ungated_micro
     from repro.perf.runner import print_summary, run_bench, write_bench
 
     # Load the baseline before the (minutes-long) bench run so a bad
@@ -631,6 +631,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             )
             return 1
     if baseline is not None:
+        ungated = ungated_micro(baseline, document)
+        if ungated:
+            print(f"\nnot gated (no entry in {args.check}): {', '.join(ungated)}")
         regressions = find_regressions(baseline, document, threshold=args.threshold)
         if regressions:
             print(f"\n{len(regressions)} regression(s) vs {args.check}:", file=sys.stderr)

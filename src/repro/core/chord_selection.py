@@ -32,14 +32,25 @@ Solvers:
      optimal ``j`` is monotone in ``m`` and each of the ``k`` layers
      resolves in ``O(n log n)`` evaluations.
 
+:func:`select_chord_many` solves a block of problems with the fast
+algorithm at once: the per-node instances are stacked into flat CSR
+arrays and every DP layer is resolved level by level — all
+divide-and-conquer tasks at one recursion depth, across the whole block,
+in one batch of NumPy gathers (DESIGN.md §15). It returns exactly what
+the recursive solver returns, problem for problem, and falls back to it
+for small blocks and for id spaces wider than 53 bits.
+:func:`select_chord_fast` is ``select_chord_many([problem])[0]``.
+
 :func:`select_chord` dispatches: QoS bounds or tiny instances use the DP,
-everything else the fast solver.
+everything else the fast solver; :func:`select_chord_block` is its bulk
+form.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 from repro.core.cost import _MAX_VECTOR_BITS, _bit_lengths
 from repro.core.types import SelectionProblem, SelectionResult
@@ -50,7 +61,14 @@ try:
 except ImportError:  # pragma: no cover - exercised only on stripped installs
     _np = None
 
-__all__ = ["select_chord", "select_chord_dp", "select_chord_fast"]
+__all__ = [
+    "select_chord",
+    "select_chord_block",
+    "select_chord_dp",
+    "select_chord_fast",
+    "select_chord_many",
+    "solver_blocks",
+]
 
 _INF = float("inf")
 
@@ -86,8 +104,9 @@ def _normalize(problem: SelectionProblem) -> _ChordInstance:
     for peer in problem.delay_bounds:
         if peer != source:
             entries.setdefault(peer, 0.0)
-    order = sorted(entries, key=lambda peer: space.gap(source, peer))
-    gaps = [space.gap(source, peer) for peer in order]
+    gap_of = {peer: space.gap(source, peer) for peer in entries}
+    order = sorted(entries, key=gap_of.__getitem__)
+    gaps = [gap_of[peer] for peer in order]
     weights = [float(entries[peer]) for peer in order]
     core = set(problem.core_neighbors)
     candidate_flags = [peer not in core for peer in order]
@@ -129,19 +148,12 @@ def _base_costs(inst: _ChordInstance) -> list[float]:
     loop, which must track per-peer infeasibility.
     """
     if _vectorizable(inst) and not any(bound is not None for bound in inst.bounds):
-        gaps = _np.asarray(inst.gaps, dtype=_np.int64)
-        weights = _np.asarray(inst.weights, dtype=_np.float64)
-        cores = _np.asarray(inst.core_gaps, dtype=_np.int64)
-        if cores.size == 0:
-            distances = _np.full(inst.n, inst.bits, dtype=_np.int64)
-        else:
-            index = _np.searchsorted(cores, gaps, side="right")
-            preceding = cores[_np.maximum(index - 1, 0)]
-            distances = _np.where(index > 0, _bit_lengths(gaps - preceding), inst.bits)
-        base = _np.empty(inst.n + 1, dtype=_np.float64)
-        base[0] = 0.0
-        _np.cumsum(weights * distances, out=base[1:])
-        return base.tolist()
+        return _base_cost_array(
+            _np.asarray(inst.gaps, dtype=_np.int64),
+            _np.asarray(inst.weights, dtype=_np.float64),
+            _np.asarray(inst.core_gaps, dtype=_np.int64),
+            inst.bits,
+        ).tolist()
     base = [0.0]
     running = 0.0
     for i in range(inst.n):
@@ -153,6 +165,21 @@ def _base_costs(inst: _ChordInstance) -> list[float]:
             else:
                 running += inst.weights[i] * distance
         base.append(running)
+    return base
+
+
+def _base_cost_array(gaps, weights, cores, bits: int):
+    """Vectorised unconstrained ``C_0``: one searchsorted over the core
+    offsets and a cumulative sum."""
+    if cores.size == 0:
+        distances = _np.full(gaps.size, bits, dtype=_np.int64)
+    else:
+        index = _np.searchsorted(cores, gaps, side="right")
+        preceding = cores[_np.maximum(index - 1, 0)]
+        distances = _np.where(index > 0, _bit_lengths(gaps - preceding), bits)
+    base = _np.empty(gaps.size + 1, dtype=_np.float64)
+    base[0] = 0.0
+    _np.cumsum(weights * distances, out=base[1:])
     return base
 
 
@@ -235,6 +262,28 @@ def select_chord_dp(problem: SelectionProblem) -> SelectionResult:
     return _result(problem, inst, chosen, current[n], "chord-dp")
 
 
+def _anchor_tables(gaps, freq_prefix, anchors, bits: int):
+    """The eq.-9 tables of every anchor at once: ``reach[a, r]`` (``r``
+    = 0 .. bits) counts the peers with gap at most ``anchors[a] + 2**r -
+    1`` and ``hops[a, r]`` is the prefix sum of ``r' * (F(p(r')) -
+    F(p(r'-1)))`` over ``r' <= r``. One searchsorted resolves all anchors
+    × radii, a row-wise cumulative sum the prefixes."""
+    radii = _np.arange(1, bits + 1, dtype=_np.int64)
+    limits = anchors[:, None] + ((_np.int64(1) << radii) - 1)[None, :]
+    outer = _np.searchsorted(gaps, limits.ravel(), side="right")
+    reach = _np.concatenate(
+        [
+            _np.searchsorted(gaps, anchors, side="right")[:, None],
+            outer.reshape(len(anchors), bits),
+        ],
+        axis=1,
+    )
+    shells = freq_prefix[reach[:, 1:]] - freq_prefix[reach[:, :-1]]
+    hops = _np.zeros((len(anchors), bits + 1), dtype=_np.float64)
+    _np.cumsum(radii * shells, axis=1, out=hops[:, 1:])
+    return reach, hops
+
+
 class _SpanOracle:
     """Answers ``s(j, m)`` queries in ``O(log n + log b)`` (Section V-B).
 
@@ -267,22 +316,12 @@ class _SpanOracle:
         self._hops: dict[int, list[float]] = {}
         anchors = sorted(set(inst.gaps) | set(inst.core_gaps))
         if _vectorizable(inst) and anchors:
-            gaps_arr = _np.asarray(self.gaps, dtype=_np.int64)
-            prefix_arr = _np.asarray(self.freq_prefix, dtype=_np.float64)
-            anchor_arr = _np.asarray(anchors, dtype=_np.int64)
-            radii = _np.arange(1, bits + 1, dtype=_np.int64)
-            limits = anchor_arr[:, None] + ((_np.int64(1) << radii) - 1)[None, :]
-            outer = _np.searchsorted(gaps_arr, limits.ravel(), side="right")
-            reach = _np.concatenate(
-                [
-                    _np.searchsorted(gaps_arr, anchor_arr, side="right")[:, None],
-                    outer.reshape(len(anchors), bits),
-                ],
-                axis=1,
+            reach, hops = _anchor_tables(
+                _np.asarray(self.gaps, dtype=_np.int64),
+                _np.asarray(self.freq_prefix, dtype=_np.float64),
+                _np.asarray(anchors, dtype=_np.int64),
+                bits,
             )
-            shells = prefix_arr[reach[:, 1:]] - prefix_arr[reach[:, :-1]]
-            hops = _np.zeros((len(anchors), bits + 1), dtype=_np.float64)
-            _np.cumsum(radii * shells, axis=1, out=hops[:, 1:])
             for row, gap in enumerate(anchors):
                 self._reach[gap] = reach[row].tolist()
                 self._hops[gap] = hops[row].tolist()
@@ -385,20 +424,14 @@ def _solve_layer_dc(
         solve(1, n, 0, len(candidates) - 1)
 
 
-def select_chord_fast(problem: SelectionProblem) -> SelectionResult:
-    """Optimal selection via the fast algorithm of Section V-B
-    (``O(n (b + k log b) log n)``-flavoured; see module docstring).
-
-    Does not accept QoS bounds — use :func:`select_chord_dp` for those.
-    """
-    if problem.delay_bounds:
-        raise ConfigurationError("fast solver does not support delay bounds; use select_chord_dp")
-    inst = _normalize(problem)
+def _solve_recursive(inst: _ChordInstance, k: int) -> tuple[list[int], float]:
+    """The fast algorithm on one instance with the recursive layer solver:
+    (chosen 0-based positions, ``C_k(n)``)."""
     n = inst.n
     oracle = _SpanOracle(inst)
     current = _base_costs(inst)
     candidates = [index + 1 for index in range(n) if inst.candidate_flags[index]]
-    k_eff = min(problem.k, len(candidates))
+    k_eff = min(k, len(candidates))
     parents: list[list[int]] = [[0] * (n + 1)]
     for _layer in range(k_eff):
         previous = current
@@ -406,14 +439,360 @@ def select_chord_fast(problem: SelectionProblem) -> SelectionResult:
         parent_row = [0] * (n + 1)
         _solve_layer_dc(oracle, previous, candidates, current, parent_row)
         parents.append(parent_row)
-    chosen = _reconstruct(parents, k_eff, n)
-    return _result(problem, inst, chosen, current[n], "chord-fast")
+    return _reconstruct(parents, k_eff, n), current[n]
+
+
+# ----------------------------------------------------------------------
+# Level-synchronous block solver
+# ----------------------------------------------------------------------
+
+#: Budget of anchor-table cells (anchor rows × (bits + 1), before the
+#: compression in :class:`_StackedBlock`) per block of
+#: :func:`solver_blocks`: about 29 instances of the paper-scale cell
+#: (256 tracked peers + ~12 cores, 32-bit ids), whose compressed tables
+#: take ~1.2 MiB. Larger blocks amortise the per-level NumPy calls over
+#: more instances but stopped paying at 2**19 (DESIGN.md §15).
+BLOCK_CELLS = 1 << 18
+
+#: Stacked peer count below which :func:`select_chord_many` keeps the
+#: recursive solver: a level of the stacked solver costs ~60 NumPy calls
+#: whatever its size, which a single 32-bit instance only repays from
+#: about 96 peers on (DESIGN.md §15).
+_STACK_MIN_PEERS = 96
+
+
+class _StackedBlock:
+    """A block of instances stacked into flat CSR arrays (int32 indices).
+
+    Instance ``i`` owns one contiguous slice of each layout:
+
+    * *positions*, ``n_i + 1`` slots: slot ``m`` is the paper's 1-based
+      peer ``m`` (slot 0 stands for "no peer"). ``gap``, ``rank`` (the
+      global index of the first core after the peer, i.e.
+      ``bisect_right(cores, gap)``), the peer's anchor row as ``start``
+      and ``skip`` (below), ``freq`` (``F``), ``base`` (``C_0``) and
+      ``upper`` (global index of the last candidate ``j <= m``);
+    * *candidates*: ``cand_pos``, the positions of the peers eligible for
+      a pointer;
+    * *cores*: ``core_gap``, the core's anchor row (``core_start``,
+      ``core_skip``), ``core_upper`` (position of the last peer before
+      the core) and ``segment``, the eq.-10 prefix costs of complete
+      core-to-core segments;
+    * *cells*: the anchor rows of eq. 9, ``reach`` (as a position) and
+      ``hops``. A row keeps radius 0 and the radii from ``skip``, its
+      first radius that reaches a peer radius 0 does not; the radii in
+      between repeat radius 0 exactly, so radius ``r`` is cell ``start +
+      max(r + 1 - skip, 0)``. With 32-bit ids and a few hundred peers
+      that drops about two thirds of the cells.
+
+    Every index a ``s(j, m)`` evaluation needs is then one gather; the
+    searchsorted calls of :class:`_SpanOracle` happen once, at build.
+    """
+
+    def __init__(self, insts: list[_ChordInstance], ks: list[int]) -> None:
+        self.insts = insts
+        self.pos_base = _offsets([inst.n + 1 for inst in insts])
+        core_base = _offsets([len(inst.core_gaps) for inst in insts])
+        positions = int(self.pos_base[-1])
+        cores_total = int(core_base[-1])
+        self.gap = _np.zeros(positions, dtype=_np.int64)
+        self.rank = _np.zeros(positions, dtype=_np.int32)
+        self.start = _np.zeros(positions, dtype=_np.int32)
+        self.skip = _np.zeros(positions, dtype=_np.int32)
+        self.freq = _np.zeros(positions, dtype=_np.float64)
+        self.base = _np.zeros(positions, dtype=_np.float64)
+        self.upper = _np.zeros(positions, dtype=_np.int32)
+        self.core_gap = _np.zeros(cores_total, dtype=_np.int64)
+        self.core_start = _np.zeros(cores_total, dtype=_np.int32)
+        self.core_skip = _np.zeros(cores_total, dtype=_np.int32)
+        self.core_upper = _np.zeros(cores_total, dtype=_np.int32)
+        self.segment = _np.zeros(cores_total, dtype=_np.float64)
+        self.cand_base = _np.zeros(len(insts), dtype=_np.int64)
+        self.k_eff = []
+        reach_parts, hops_parts, cand_parts = [], [], []
+        cells = candidates = 0
+        for i, inst in enumerate(insts):
+            p0, q0 = int(self.pos_base[i]), int(core_base[i])
+            p1, q1 = p0 + inst.n + 1, q0 + len(inst.core_gaps)
+            gaps = _np.asarray(inst.gaps, dtype=_np.int64)
+            cores = _np.asarray(inst.core_gaps, dtype=_np.int64)
+            weights = _np.asarray(inst.weights, dtype=_np.float64)
+            anchors = _np.union1d(gaps, cores)
+            # Same additions, in the same order, as _SpanOracle's Python
+            # prefix loop (0.0 + w0, then + w1, ...).
+            freq = _np.cumsum(_np.concatenate(([0.0], weights)))
+            reach, hops = _anchor_tables(gaps, freq, anchors, inst.bits)
+            start, skip, reach, hops = _drop_repeated_radii(reach, hops)
+            start += cells
+            cells += reach.size
+            reach_parts.append((reach + p0).astype(_np.int32))
+            hops_parts.append(hops)
+            peer_row = _np.searchsorted(anchors, gaps)
+            core_row = _np.searchsorted(anchors, cores)
+            self.gap[p0 + 1 : p1] = gaps
+            self.rank[p0 + 1 : p1] = _np.searchsorted(cores, gaps, side="right") + q0
+            self.start[p0 + 1 : p1] = start[peer_row]
+            self.skip[p0 + 1 : p1] = skip[peer_row]
+            self.freq[p0:p1] = freq
+            self.base[p0:p1] = _base_cost_array(gaps, weights, cores, inst.bits)
+            flags = _np.asarray(inst.candidate_flags, dtype=_np.int64)
+            self.upper[p0] = candidates - 1
+            self.upper[p0 + 1 : p1] = _np.cumsum(flags) + (candidates - 1)
+            local = _np.flatnonzero(flags)
+            cand_parts.append(local + (p0 + 1))
+            self.cand_base[i] = candidates
+            candidates += local.size
+            self.k_eff.append(min(ks[i], local.size))
+            self.core_gap[q0:q1] = cores
+            self.core_start[q0:q1] = start[core_row]
+            self.core_skip[q0:q1] = skip[core_row]
+            self.core_upper[q0:q1] = _np.searchsorted(gaps, cores - 1, side="right") + p0
+        self.reach = _np.concatenate(reach_parts) if reach_parts else _np.zeros(0, _np.int32)
+        self.hops = _np.concatenate(hops_parts) if hops_parts else _np.zeros(0)
+        self.cand_pos = (
+            _np.concatenate(cand_parts).astype(_np.int32) if cand_parts else _np.zeros(0, _np.int32)
+        )
+        del reach_parts, hops_parts, cand_parts
+        # Complete core-to-core segment costs (eq. 10): core t to t + 1 of
+        # the same instance, accumulated per instance in order.
+        if cores_total > 1:
+            first = _np.arange(cores_total - 1)
+            same = _np.searchsorted(core_base, first, side="right") == _np.searchsorted(
+                core_base, first + 1, side="right"
+            )
+            t = first[same]
+            costs = _np.zeros(cores_total, dtype=_np.float64)
+            costs[t + 1] = self._span(
+                self.core_start[t],
+                self.core_skip[t],
+                self.core_gap[t],
+                self.core_gap[t + 1] - 1,
+                self.core_upper[t + 1],
+            )
+            for i in range(len(insts)):
+                q0, q1 = int(core_base[i]), int(core_base[i + 1])
+                if q1 > q0:
+                    _np.cumsum(costs[q0:q1], out=self.segment[q0:q1])
+
+    def _span(self, start, skip, anchor, limit, upper):
+        """Vectorised :meth:`_SpanOracle._corefree_span`: the cost of the
+        peers with gap in ``(anchor, limit]`` served from the anchor row
+        at ``start``/``skip``, where ``upper`` is the position of the last
+        of them."""
+        diff = limit - anchor
+        d = _bit_lengths(diff)
+        cell = start + _np.maximum(d - skip, 0)
+        outer = d * (self.freq[upper] - self.freq[self.reach[cell]])
+        return _np.where(diff > 0, self.hops[cell] + outer, 0.0)
+
+    def _pair_cost(self, jpos, mpos):
+        """:meth:`_SpanOracle.span_cost` for pointer peers at positions
+        ``jpos`` and last served peers at ``mpos`` (``jpos <= mpos``),
+        with the same operations in the same order."""
+        anchor = self.gap[jpos]
+        limit = self.gap[mpos]
+        lo = self.rank[jpos]
+        hi = self.rank[mpos]
+        start = self.start[jpos]
+        skip = self.skip[jpos]
+        split = _np.flatnonzero(lo != hi)
+        if split.size == 0:
+            return self._span(start, skip, anchor, limit, mpos)
+        lo = lo[split]
+        hi = hi[split] - 1
+        head_limit = limit.copy()
+        head_limit[split] = self.core_gap[lo] - 1
+        head_upper = mpos.copy()
+        head_upper[split] = self.core_upper[lo]
+        cost = self._span(start, skip, anchor, head_limit, head_upper)
+        middle = self.segment[hi] - self.segment[lo]
+        tail = self._span(
+            self.core_start[hi], self.core_skip[hi], self.core_gap[hi], limit[split], mpos[split]
+        )
+        cost[split] = (cost[split] + middle) + tail
+        return cost
+
+    def solve(self) -> list[tuple[list[int], float]]:
+        """Every instance's (chosen 0-based positions, ``C_k(n)``)."""
+        current = self.base
+        parents = []
+        n = _np.asarray([inst.n for inst in self.insts], dtype=_np.int64)
+        k_eff = _np.asarray(self.k_eff, dtype=_np.int64)
+        counts = _np.diff(_np.append(self.cand_base, self.cand_pos.size))
+        for layer in range(int(k_eff.max(initial=0))):
+            previous = current
+            current = previous.copy()
+            parent = _np.zeros(current.size, dtype=_np.int32)
+            active = _np.flatnonzero(k_eff > layer)
+            self._solve_layer(
+                previous,
+                current,
+                parent,
+                self.pos_base[active] + 1,
+                self.pos_base[active] + n[active],
+                self.cand_base[active],
+                self.cand_base[active] + counts[active] - 1,
+            )
+            parents.append(parent)
+        results = []
+        for i, inst in enumerate(self.insts):
+            p0 = int(self.pos_base[i])
+            chosen = []
+            layer, m = self.k_eff[i], inst.n
+            while layer > 0:
+                j = int(parents[layer - 1][p0 + m])
+                if j:
+                    chosen.append(j - p0 - 1)
+                    m = j - p0 - 1
+                layer -= 1
+            results.append((chosen, float(current[p0 + inst.n])))
+        return results
+
+    def _solve_layer(self, previous, current, parent, m_lo, m_hi, c_lo, c_hi) -> None:
+        """One DP layer of every instance: :func:`_solve_layer_dc`'s task
+        tree, one recursion depth at a time. A task is ``(m_lo, m_hi,
+        c_lo, c_hi)`` in global positions and candidate indices; tasks are
+        only created with ``m_lo <= m_hi`` and ``c_lo <= c_hi``."""
+        while m_lo.size:
+            mid = (m_lo + m_hi) >> 1
+            # Admissible candidates of each task: c_lo .. min(c_hi, last j <= mid).
+            count = _np.minimum(c_hi, self.upper[mid]) - c_lo + 1
+            tasks = _np.flatnonzero(count > 0)
+            best = c_lo.copy()
+            found = _np.zeros(mid.size, dtype=bool)
+            if tasks.size:
+                count = count[tasks]
+                ends = _np.cumsum(count)
+                starts = ends - count
+                order = _np.arange(int(ends[-1]))
+                cidx = order + _np.repeat(c_lo[tasks] - starts, count)
+                jpos = self.cand_pos[cidx]
+                mpos = _np.repeat(mid[tasks], count)
+                value = previous[jpos - 1] + self._pair_cost(jpos, mpos)
+                # Leftmost strict minimum, as the recursive scan's ``<``
+                # finds it; a task whose values are all inf finds none.
+                low = _np.fmin.reduceat(value, starts)
+                first = _np.minimum.reduceat(
+                    _np.where(value == _np.repeat(low, count), order, order.size), starts
+                )
+                hit = low < _INF
+                tasks, first = tasks[hit], first[hit]
+                best[tasks] = cidx[first]
+                found[tasks] = True
+                target = mid[tasks]
+                value = value[first]
+                lower = value < current[target]
+                target = target[lower]
+                current[target] = value[lower]
+                parent[target] = jpos[first[lower]]
+            # Children: left half (m_lo .. mid-1, c_lo .. best) when a best
+            # exists; right half (mid+1 .. m_hi, best .. c_hi), where best
+            # stays c_lo when no candidate fits at mid.
+            left = found & (mid > m_lo)
+            right = mid < m_hi
+            m_lo, m_hi, c_lo, c_hi = (
+                _np.concatenate((m_lo[left], mid[right] + 1)),
+                _np.concatenate((mid[left] - 1, m_hi[right])),
+                _np.concatenate((c_lo[left], best[right])),
+                _np.concatenate((best[left], c_hi[right])),
+            )
+
+
+def _drop_repeated_radii(reach, hops):
+    """Compress anchor tables row by row (see :class:`_StackedBlock`):
+    ``(start, skip, reach cells, hops cells)`` with row starts relative to
+    the first cell."""
+    width = reach.shape[1]
+    grows = reach[:, 1:] > reach[:, :1]
+    skip = _np.where(grows.any(axis=1), grows.argmax(axis=1) + 1, width)
+    keep = _np.arange(width)[None, :] >= skip[:, None]
+    keep[:, 0] = True
+    sizes = keep.sum(axis=1)
+    start = _np.cumsum(sizes) - sizes
+    return start, skip, reach[keep], hops[keep]
+
+
+def _offsets(sizes: list[int]):
+    """Exclusive prefix sums with the total appended: CSR offsets."""
+    offsets = _np.zeros(len(sizes) + 1, dtype=_np.int64)
+    _np.cumsum(sizes, out=offsets[1:])
+    return offsets
+
+
+def select_chord_many(problems: Iterable[SelectionProblem]) -> list[SelectionResult]:
+    """The fast algorithm of Section V-B on a block of problems at once.
+
+    Result for result identical to solving each problem alone with the
+    recursive layer solver — same auxiliary set, bit-identical cost, label
+    ``"chord-fast"`` — and independent of which other problems share the
+    block. Blocks stacking fewer than ``_STACK_MIN_PEERS`` peers, and ids
+    wider than 53 bits, use the recursive solver.
+
+    Does not accept QoS bounds — use :func:`select_chord_dp` for those.
+    """
+    problems = list(problems)
+    if any(problem.delay_bounds for problem in problems):
+        raise ConfigurationError("fast solver does not support delay bounds; use select_chord_dp")
+    insts = [_normalize(problem) for problem in problems]
+    stacked = [index for index, inst in enumerate(insts) if _vectorizable(inst)]
+    solved: dict[int, tuple[list[int], float]] = {}
+    if sum(insts[index].n for index in stacked) >= _STACK_MIN_PEERS:
+        block = _StackedBlock(
+            [insts[index] for index in stacked], [problems[index].k for index in stacked]
+        )
+        solved = dict(zip(stacked, block.solve()))
+    results = []
+    for index, (problem, inst) in enumerate(zip(problems, insts)):
+        chosen, cost = solved[index] if index in solved else _solve_recursive(inst, problem.k)
+        results.append(_result(problem, inst, chosen, cost, "chord-fast"))
+    return results
+
+
+def select_chord_fast(problem: SelectionProblem) -> SelectionResult:
+    """Optimal selection via the fast algorithm of Section V-B
+    (``O(n (b + k log b) log n)``-flavoured; see module docstring).
+
+    Does not accept QoS bounds — use :func:`select_chord_dp` for those.
+    """
+    return select_chord_many([problem])[0]
+
+
+def solver_blocks(problems: Iterable[SelectionProblem]) -> Iterator[list[SelectionProblem]]:
+    """Group ``problems`` lazily, in order, into blocks of at most
+    :data:`BLOCK_CELLS` stacked anchor cells (a single larger problem is a
+    block of its own), so a caller never holds more than one block of
+    problems at a time."""
+    block: list[SelectionProblem] = []
+    cells = 0
+    for problem in problems:
+        size = (len(problem.frequencies) + len(problem.core_neighbors)) * (problem.space.bits + 1)
+        if block and cells + size > BLOCK_CELLS:
+            yield block
+            block, cells = [], 0
+        block.append(problem)
+        cells += size
+    if block:
+        yield block
+
+
+def _prefers_dp(problem: SelectionProblem) -> bool:
+    return bool(problem.delay_bounds) or len(problem.frequencies) <= 32
 
 
 def select_chord(problem: SelectionProblem) -> SelectionResult:
     """Solve a Chord selection problem with the appropriate algorithm:
     the quadratic DP for QoS-constrained or tiny instances, the fast
     divide-and-conquer solver otherwise."""
-    if problem.delay_bounds or len(problem.frequencies) <= 32:
+    if _prefers_dp(problem):
         return select_chord_dp(problem)
     return select_chord_fast(problem)
+
+
+def select_chord_block(problems: Iterable[SelectionProblem]) -> list[SelectionResult]:
+    """:func:`select_chord` on every problem of a block, the fast-solver
+    ones solved together by :func:`select_chord_many`."""
+    problems = list(problems)
+    fast = iter(select_chord_many(problem for problem in problems if not _prefers_dp(problem)))
+    return [
+        select_chord_dp(problem) if _prefers_dp(problem) else next(fast) for problem in problems
+    ]

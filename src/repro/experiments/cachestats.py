@@ -35,7 +35,6 @@ nothing).
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass
 
 from repro.core import budget as budget_mod
@@ -43,6 +42,7 @@ from repro.obs.attribution import AttributionRecorder, attribute_batch
 from repro.obs.manifest import build_manifest
 from repro.sim.metrics import HopStatistics
 from repro.sim.runner import OVERLAYS, ExperimentConfig, _Bench
+from repro.util.jsonfmt import json_float
 from repro.util.parallel import run_tasks
 from repro.util.rng import SeedSequenceRegistry
 from repro.workload.spec import DEFAULT_RATE
@@ -133,11 +133,6 @@ class CachestatsCell:
     total_budget: int
     crash_fraction: float
     top: int
-
-
-def _json_float(value: float) -> float | None:
-    """NaN is not valid strict JSON; degrade it to ``null``."""
-    return None if isinstance(value, float) and math.isnan(value) else value
 
 
 def _columnar_attribution(bench, config, recorder, queries) -> bool | None:
@@ -258,7 +253,7 @@ def _run_cachestats_cell(cell: CachestatsCell) -> dict:
     return {
         "overlay": cell.overlay,
         "lookups": stats.lookups,
-        "mean_hops": _json_float(stats.mean_hops),
+        "mean_hops": json_float(stats.mean_hops),
         "classes": {name: s.to_dict() for name, s in recorder.class_totals().items()},
         "quota": {
             "total_budget": cell.total_budget,

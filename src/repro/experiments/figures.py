@@ -37,13 +37,13 @@ bit-identical results.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from repro.obs.manifest import build_manifest
 from repro.sim.metrics import ComparisonResult, HopStatistics
 from repro.sim.runner import ChurnConfig, ExperimentConfig, run_churn, run_stable
+from repro.util.jsonfmt import json_float
 from repro.util.parallel import run_tasks
 from repro.util.rng import substream_seed
 
@@ -572,11 +572,6 @@ def run_figure(
     return runner(preset, jobs, engine)
 
 
-def _json_float(value: float) -> float | None:
-    """NaN is not valid JSON; emit null for degraded cells."""
-    return None if isinstance(value, float) and math.isnan(value) else value
-
-
 def result_to_json(
     result: FigureResult, preset: FigurePreset, wall_time_s: float | None = None
 ) -> str:
@@ -602,13 +597,13 @@ def result_to_json(
                 "points": [
                     {
                         "x": point.x,
-                        "improvement_pct": _json_float(point.improvement),
-                        "optimal_mean_hops": _json_float(point.comparison.optimized.mean_hops),
-                        "baseline_mean_hops": _json_float(point.comparison.baseline.mean_hops),
-                        "optimal_failure_rate": _json_float(
+                        "improvement_pct": json_float(point.improvement),
+                        "optimal_mean_hops": json_float(point.comparison.optimized.mean_hops),
+                        "baseline_mean_hops": json_float(point.comparison.baseline.mean_hops),
+                        "optimal_failure_rate": json_float(
                             point.comparison.optimized.failure_rate
                         ),
-                        "baseline_failure_rate": _json_float(
+                        "baseline_failure_rate": json_float(
                             point.comparison.baseline.failure_rate
                         ),
                     }

@@ -17,7 +17,6 @@ drivers, so trace documents are bit-identical (after
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 from repro.faults.injector import apply_stable_faults, maybe_corrupt
@@ -27,6 +26,7 @@ from repro.obs.recorder import LookupTracer
 from repro.sim.metrics import HopStatistics
 from repro.sim.runner import ExperimentConfig, _Bench
 from repro.util.errors import ConfigurationError
+from repro.util.jsonfmt import json_float
 from repro.util.parallel import run_tasks
 from repro.util.rng import SeedSequenceRegistry, substream_seed
 
@@ -35,11 +35,6 @@ __all__ = ["TRACE_SCHEMA", "trace_cell", "trace_cells"]
 TRACE_SCHEMA = "TRACE_v1"
 
 _POLICIES = ("optimal", "oblivious")
-
-
-def _json_float(value: float) -> float | None:
-    """NaN is not valid strict JSON; degrade it to ``null``."""
-    return None if isinstance(value, float) and math.isnan(value) else value
 
 
 def trace_cell(
@@ -99,7 +94,7 @@ def trace_cell(
             )
         )
     percentiles = {
-        key: _json_float(value) for key, value in stats.latency_percentiles().items()
+        key: json_float(value) for key, value in stats.latency_percentiles().items()
     }
     return {
         "schema": TRACE_SCHEMA,
@@ -110,7 +105,7 @@ def trace_cell(
             "lookups": stats.lookups,
             "successes": stats.successes,
             "failures": stats.failures,
-            "mean_hops": _json_float(stats.mean_hops),
+            "mean_hops": json_float(stats.mean_hops),
             "failure_rate": stats.failure_rate,
             "timeout_rate": stats.timeout_rate,
             **percentiles,

@@ -4,8 +4,11 @@ CI runs a smoke bench and compares its microbenchmark medians against the
 committed ``BENCH_v1.json`` baseline: any kernel whose median grows by
 more than ``threshold``x fails the build. Only ``micro`` entries present
 in *both* documents are compared — renamed or newly added benchmarks are
-never spurious failures — and macro timings are reported but not gated
-(whole-cell times are too machine-sensitive for a hard threshold).
+never spurious failures — but the check report names every entry of the
+run that the baseline cannot gate (:func:`ungated_micro`), so a stale
+baseline is visible rather than silently skipped. Macro timings are
+reported but not gated (whole-cell times are too machine-sensitive for a
+hard threshold).
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from typing import Mapping
 
 from repro.util.errors import ConfigurationError
 
-__all__ = ["Regression", "find_regressions", "load_bench"]
+__all__ = ["Regression", "find_regressions", "load_bench", "ungated_micro"]
 
 
 def load_bench(path: str | pathlib.Path) -> dict:
@@ -76,3 +79,9 @@ def find_regressions(
             )
     regressions.sort(key=lambda r: r.ratio, reverse=True)
     return regressions
+
+
+def ungated_micro(baseline: Mapping, current: Mapping) -> list[str]:
+    """Microbenchmarks of ``current`` that the baseline has no entry for,
+    hence that :func:`find_regressions` cannot gate."""
+    return sorted(set(current.get("micro", {})) - set(baseline.get("micro", {})))

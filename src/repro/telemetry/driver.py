@@ -15,7 +15,6 @@ wall time), the stripped document is byte-identical at any ``--jobs``.
 
 from __future__ import annotations
 
-import math
 
 from repro.sim.metrics import HopStatistics
 from repro.sim.runner import (
@@ -28,6 +27,7 @@ from repro.sim.runner import (
 from repro.telemetry.export import build_metrics_document
 from repro.telemetry.runtime import DEFAULT_ROUNDS, RoundTelemetry
 from repro.util.errors import ConfigurationError
+from repro.util.jsonfmt import json_float
 from repro.util.parallel import run_tasks
 
 __all__ = ["metrics_cell", "metrics_document"]
@@ -35,17 +35,12 @@ __all__ = ["metrics_cell", "metrics_document"]
 _POLICIES = ("optimal", "oblivious")
 
 
-def _json_float(value: float) -> float | None:
-    """NaN is not valid strict JSON; degrade it to ``null``."""
-    return None if isinstance(value, float) and math.isnan(value) else value
-
-
 def _stats_summary(stats: HopStatistics) -> dict:
     return {
         "lookups": stats.lookups,
         "successes": stats.successes,
         "failures": stats.failures,
-        "mean_hops": _json_float(stats.mean_hops),
+        "mean_hops": json_float(stats.mean_hops),
         "failure_rate": stats.failure_rate,
         "timeout_rate": stats.timeout_rate,
     }

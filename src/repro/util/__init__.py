@@ -1,4 +1,5 @@
-"""Shared utilities: id-space arithmetic, RNG streams, validation, errors."""
+"""Shared utilities: id-space arithmetic, RNG streams, validation, errors,
+strict-JSON helpers."""
 
 from repro.util.errors import (
     ConfigurationError,
@@ -12,6 +13,7 @@ from repro.util.errors import (
     SimulationError,
 )
 from repro.util.ids import DEFAULT_BITS, IdSpace
+from repro.util.jsonfmt import json_float
 from repro.util.rng import SeedSequenceRegistry, substream_seed
 
 __all__ = [
@@ -27,5 +29,6 @@ __all__ = [
     "SeedSequenceRegistry",
     "SelectionError",
     "SimulationError",
+    "json_float",
     "substream_seed",
 ]

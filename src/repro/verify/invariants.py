@@ -38,12 +38,14 @@ deliberately broken solver and watch the corresponding invariant fire.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 
 from repro.core import chord_selection, cost, kademlia_selection, pastry_selection
 from repro.core.types import SelectionProblem
 from repro.pastry.routing import circular_distance
 from repro.util.errors import InfeasibleConstraintError
+from repro.util.ids import IdSpace
 
 __all__ = [
     "Invariant",
@@ -120,7 +122,9 @@ REGISTRY: dict[str, Invariant] = {
             ("chord", "pastry", "kademlia"),
             "The O(n^2 k) DP, the fast/greedy algorithm, an independent cost "
             "re-evaluation, and (on tiny instances) brute force all agree on "
-            "the optimal selection cost (eq. 7-10 / Section IV).",
+            "the optimal selection cost (eq. 7-10 / Section IV); on Chord the "
+            "problem solved inside a stacked block between unrelated decoys "
+            "gets exactly the set and cost it gets alone.",
         ),
         Invariant(
             "selection.nesting",
@@ -313,10 +317,46 @@ def _solve_pair(problem: SelectionProblem, overlay: str):
     )
 
 
+#: Peers per decoy of the Chord block check: two decoys take the block
+#: past the stacked solver's crossover whatever the scenario's size.
+_DECOY_PEERS = 64
+
+
+def _chord_decoys(problem: SelectionProblem) -> list[SelectionProblem]:
+    """Two problems unrelated to ``problem`` (32-bit ids, tied integer
+    weights, cores among the peers), seeded by its source."""
+    rng = random.Random(problem.source)
+    space = IdSpace(32)
+    decoys = []
+    for k in (3, 7):
+        ids = rng.sample(range(space.size), _DECOY_PEERS + 5)
+        peers = ids[1 : _DECOY_PEERS + 1]
+        decoys.append(
+            SelectionProblem(
+                space=space,
+                source=ids[0],
+                frequencies={peer: float(rng.randint(0, 9)) for peer in peers},
+                core_neighbors=frozenset(ids[_DECOY_PEERS + 1 :] + peers[:3]),
+                k=k,
+            )
+        )
+    return decoys
+
+
 def check_selection_equivalence(problem: SelectionProblem, overlay: str) -> list[str]:
-    """DP ≡ fast/greedy ≡ re-evaluated cost (≡ brute force when tiny)."""
+    """DP ≡ fast/greedy ≡ re-evaluated cost (≡ brute force when tiny);
+    on Chord also block-solved ≡ solved alone, exactly."""
     messages: list[str] = []
     dp, fast, fast_label = _solve_pair(problem, overlay)
+    if overlay == "chord":
+        before, after = _chord_decoys(problem)
+        stacked = chord_selection.select_chord_many([before, problem, after])[1]
+        if stacked.auxiliary != fast.auxiliary or stacked.cost != fast.cost:
+            messages.append(
+                f"block solve chose {sorted(stacked.auxiliary)} at cost "
+                f"{stacked.cost!r}, alone {sorted(fast.auxiliary)} at cost "
+                f"{fast.cost!r} (node {problem.source})"
+            )
     if not _close(dp.cost, fast.cost):
         messages.append(
             f"dp cost {dp.cost!r} != {fast_label} cost {fast.cost!r} "

@@ -79,3 +79,20 @@ class TestBenchCommand:
         code = cli.main(["bench", "--smoke", "--jobs", "1", "--check", str(path)])
         assert code == 1
         assert "regression" in capsys.readouterr().err
+
+    def test_check_names_entries_the_baseline_cannot_gate(self, tiny_bench, tmp_path, capsys):
+        baseline = {
+            "schema": BENCH_SCHEMA,
+            "micro": {"pastry_cost_scalar_n1024": {
+                "repeats": 3, "warmup": 0, "min_s": 10.0, "median_s": 10.0,
+                "mean_s": 10.0, "p95_s": 10.0, "max_s": 10.0}},
+        }
+        path = tmp_path / "baseline.json"
+        path.write_text(json.dumps(baseline))
+        code = cli.main(["bench", "--smoke", "--jobs", "1", "--check", str(path)])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "not gated" in out
+        assert "pastry_cost_vectorized_n1024" in out.split("not gated")[1]
+        assert "pastry_cost_scalar_n1024" not in out.split("not gated")[1].splitlines()[0]
+

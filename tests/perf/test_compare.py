@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.perf.compare import Regression, find_regressions, load_bench
+from repro.perf.compare import Regression, find_regressions, load_bench, ungated_micro
 from repro.util.errors import ConfigurationError
 
 
@@ -79,3 +79,14 @@ class TestFindRegressions:
     def test_describe_mentions_ratio(self):
         regression = Regression("kern", baseline_median_s=0.001, current_median_s=0.004)
         assert "4.00x" in regression.describe()
+
+
+class TestUngatedMicro:
+    def test_names_entries_missing_from_the_baseline(self):
+        baseline = _document({"kept": 0.001, "dropped": 0.001})
+        current = _document({"kept": 0.001, "new_b": 0.002, "new_a": 0.002})
+        assert ungated_micro(baseline, current) == ["new_a", "new_b"]
+
+    def test_empty_when_the_baseline_covers_the_run(self):
+        baseline = _document({"a": 0.001, "b": 0.001})
+        assert ungated_micro(baseline, _document({"a": 0.002})) == []

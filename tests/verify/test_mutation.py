@@ -34,6 +34,20 @@ def miscosted(solver, delta=0.5):
     return broken
 
 
+def plant_core_offset_bug(monkeypatch):
+    """Stack blocks with an off-by-one CSR instance offset: every instance
+    after the first reads the core arrays one core too early."""
+    real = chord_selection._StackedBlock
+
+    class OffByOne(real):
+        def __init__(self, insts, ks):
+            super().__init__(insts, ks)
+            for i in range(1, len(insts)):
+                self.rank[self.pos_base[i] + 1 : self.pos_base[i + 1]] -= 1
+
+    monkeypatch.setattr(chord_selection, "_StackedBlock", OffByOne)
+
+
 def first_chord_scenario_with_selection(master_seed=0, count=20):
     for scenario in generate_scenarios(count, master_seed, "chord"):
         if any(op == "recompute" for op, __ in scenario.steps):
@@ -142,6 +156,41 @@ class TestShrinkAndReplay:
         assert replayed.violations[0].invariant == "selection.equivalence"
 
         # Bug out: the same file replays green.
+        monkeypatch.undo()
+        assert replay_failure(loaded).passed
+
+    def test_stacking_offset_bug_caught_shrunk_and_replayed(self, monkeypatch, tmp_path):
+        """The block solver is exact only if every instance reads its own
+        slice; scenario problems are too small to be stacked alone, so the
+        decoy block of ``selection.equivalence`` must expose the bug."""
+        scenario = first_chord_scenario_with_selection()
+        assert run_scenario(scenario).passed
+        plant_core_offset_bug(monkeypatch)
+        report = run_scenario(scenario)
+        assert not report.passed
+        assert any(
+            violation.invariant == "selection.equivalence"
+            and "block solve" in violation.message
+            for violation in report.violations
+        )
+
+        result = shrink(scenario, "selection.equivalence", budget=40)
+        assert result.scenario.n <= scenario.n
+        assert len(result.scenario.steps) <= len(scenario.steps)
+        document = failure_document(scenario, result)
+        assert document["schema"] == "VERIFY_REPRO_v1"
+        path = tmp_path / "stacking_failure.json"
+        import json
+
+        path.write_text(json.dumps(document, sort_keys=True, indent=2))
+        loaded = load_failure(path)
+        replayed = replay_failure(loaded)
+        assert not replayed.passed
+        assert any(
+            violation.invariant == "selection.equivalence"
+            for violation in replayed.violations
+        )
+
         monkeypatch.undo()
         assert replay_failure(loaded).passed
 
