@@ -9,7 +9,7 @@ bottom-up (eq. 2/3):
 ``C(T_a, j) = min over splits (i, j-i) of
 C(L_a, i) + F(L_a)·[no pointer in L_a] + C(R_a, j-i) + F(R_a)·[no pointer in R_a]``
 
-Three solvers are provided:
+Four solvers are provided:
 
 * :func:`select_pastry_dp` — the paper's ``O(n k^2 b)`` dynamic program
   (``O(n k^2)`` here thanks to path compression), trying every split at
@@ -18,7 +18,13 @@ Three solvers are provided:
 * :func:`select_pastry_greedy` — the paper's ``O(n k b)`` algorithm
   exploiting the nesting property (P): the optimal ``j-1``-pointer set is
   a subset of the optimal ``j``-pointer set, so each vertex only compares
-  two candidate splits per budget level (eq. 4).
+  two candidate splits per budget level (eq. 4). It never builds a
+  :class:`~repro.core.trie.PeerTrie`: the compressed trie is the
+  Cartesian tree of the sorted ids' adjacent-LCP array, built and merged
+  in one stack pass over flat per-vertex lists (DESIGN.md §16).
+* :func:`select_pastry_greedy_trie` — the same eq.-4 merge run over a
+  :class:`~repro.core.trie.PeerTrie`; the exact oracle the flat greedy is
+  tested and ``repro check``-ed against (same set, same cost bits).
 * :class:`IncrementalPastrySelector` — Section IV-C: maintains the trie
   and all memoized cost tables across frequency updates, peer joins and
   peer leaves, recomputing only the ``O(b)`` vertices on the affected
@@ -26,7 +32,7 @@ Three solvers are provided:
 
 :func:`select_pastry` dispatches: QoS-constrained problems go to the DP
 solver (whose optimality under subtree constraints is immediate), the rest
-to the greedy.
+to the flat greedy.
 """
 
 from __future__ import annotations
@@ -47,6 +53,7 @@ __all__ = [
     "select_pastry",
     "select_pastry_dp",
     "select_pastry_greedy",
+    "select_pastry_greedy_trie",
     "IncrementalPastrySelector",
 ]
 
@@ -273,9 +280,10 @@ def select_pastry_dp(problem: SelectionProblem) -> SelectionResult:
     return _result_from_trie(trie, problem.k, "pastry-dp")
 
 
-def select_pastry_greedy(problem: SelectionProblem) -> SelectionResult:
-    """Optimal selection via the ``O(n k)`` nesting-property algorithm
-    (Section IV-B). Does not accept QoS bounds — use the DP for those."""
+def select_pastry_greedy_trie(problem: SelectionProblem) -> SelectionResult:
+    """The eq.-4 greedy run over a :class:`PeerTrie` — the test and
+    ``repro check`` oracle of :func:`select_pastry_greedy`, which must
+    match it exactly (same set, same cost bits, same label)."""
     if problem.delay_bounds:
         raise ConfigurationError("greedy solver does not support delay bounds; use select_pastry_dp")
     trie = _build_trie(problem)
@@ -283,9 +291,141 @@ def select_pastry_greedy(problem: SelectionProblem) -> SelectionResult:
     return _result_from_trie(trie, problem.k, "pastry-greedy")
 
 
+def select_pastry_greedy(problem: SelectionProblem) -> SelectionResult:
+    """Optimal selection via the ``O(n k)`` nesting-property algorithm
+    (Section IV-B). Does not accept QoS bounds — use the DP for those.
+
+    Flat form of :func:`select_pastry_greedy_trie` (DESIGN.md §16). The
+    sorted ids' adjacent LCPs define the compressed trie as their
+    Cartesian tree: a right-spine stack emits its vertices in post-order
+    into flat lists, and each internal vertex is merged (eq. 4) as soon as
+    both children are done. Aggregates, edge penalties, tie-break and
+    reconstruction order mirror the trie solver operation for operation,
+    so the result is bit-identical to it.
+    """
+    if problem.delay_bounds:
+        raise ConfigurationError("greedy solver does not support delay bounds; use select_pastry_dp")
+    k = problem.k
+    bits = problem.space.bits
+    frequencies = problem.frequencies
+    core = problem.core_neighbors
+    ids = sorted(frequencies.keys() | core)
+    if not ids:
+        return SelectionResult(frozenset(), 0.0, "pastry-greedy")
+    # The depth of the vertex splitting ids[i] from ids[i+1]; the -1
+    # sentinel after the last leaf closes the whole right spine.
+    lcps = [bits - (a ^ b).bit_length() for a, b in zip(ids, ids[1:])]
+    lcps.append(-1)
+    # Per-vertex state in post-order; leaves carry their peer, internal
+    # vertices their children and eq.-4 splits.
+    depth: list[int] = []
+    mass: list[float] = []
+    core_below: list[bool] = []
+    eligible: list[int] = []
+    costs: list[list[float]] = []
+    splits: list[list[int] | None] = []
+    left: list[int] = []
+    right: list[int] = []
+    leaf_peer: list[int | None] = []
+    # Right spine: (depth, finished left child) of vertices awaiting their
+    # right child, depths strictly increasing (a binary trie has exactly
+    # one adjacent pair at each split, so no two entries tie).
+    spine: list[tuple[int, int]] = []
+    for peer, split_depth in zip(ids, lcps):
+        current = len(depth)
+        is_core = peer in core
+        depth.append(bits)
+        mass.append(frequencies.get(peer, 0.0))
+        core_below.append(is_core)
+        eligible.append(0 if is_core else 1)
+        costs.append([0.0] if is_core or k < 1 else [0.0, 0.0])
+        splits.append(None)
+        left.append(-1)
+        right.append(-1)
+        leaf_peer.append(peer)
+        while spine and spine[-1][0] > split_depth:
+            vertex_depth, first = spine.pop()
+            second = current
+            first_costs = costs[first]
+            second_costs = costs[second]
+            # Edge penalty of an empty child subtree (eq. 2), folded into
+            # its j = 0 entry: every child is merged into one parent only.
+            if not core_below[first]:
+                first_costs[0] += (depth[first] - vertex_depth) * mass[first]
+            if not core_below[second]:
+                second_costs[0] += (depth[second] - vertex_depth) * mass[second]
+            first_max = len(first_costs) - 1
+            second_max = len(second_costs) - 1
+            count = eligible[first] + eligible[second]
+            row = [first_costs[0] + second_costs[0]]
+            shares = [0]
+            share_first = share_second = 0
+            for _ in range(min(k, count)):
+                grow_first = (
+                    first_costs[share_first + 1] + second_costs[share_second]
+                    if share_first < first_max
+                    else _INF
+                )
+                grow_second = (
+                    first_costs[share_first] + second_costs[share_second + 1]
+                    if share_second < second_max
+                    else _INF
+                )
+                if grow_first <= grow_second:
+                    row.append(grow_first)
+                    share_first += 1
+                else:
+                    row.append(grow_second)
+                    share_second += 1
+                shares.append(share_first)
+            current = len(depth)
+            depth.append(vertex_depth)
+            # ``0 +`` reproduces ``sum()`` over the two children exactly.
+            mass.append(0 + mass[first] + mass[second])
+            core_below.append(core_below[first] or core_below[second])
+            eligible.append(count)
+            costs.append(row)
+            splits.append(shares)
+            left.append(first)
+            right.append(second)
+            leaf_peer.append(None)
+        spine.append((split_depth, current))
+    top = current
+    table = costs[top]
+    total = mass[top]
+    if depth[top] > 0:
+        # The trie's root sits at depth 0. A unary root passes every budget
+        # to its single child: its table is the child's plus the edge
+        # penalty, its F is ``sum()`` over that one child.
+        if not core_below[top]:
+            table[0] += depth[top] * mass[top]
+        total = 0 + total
+    budget = min(k, len(table) - 1)
+    # Without delay bounds only an overflowing cost is infinite; the trie
+    # oracle raises the same error for it.
+    if table[budget] == _INF:
+        raise InfeasibleConstraintError(
+            f"QoS delay bounds cannot be met with k={k} auxiliary pointers"
+        )
+    chosen: list[int] = []
+    pending = [(top, budget)]
+    while pending:
+        vertex, share = pending.pop()
+        if share == 0:
+            continue
+        peer = leaf_peer[vertex]
+        if peer is not None:
+            chosen.append(peer)
+            continue
+        first_share = splits[vertex][share]  # type: ignore[index]
+        pending.append((right[vertex], share - first_share))
+        pending.append((left[vertex], first_share))
+    return SelectionResult(frozenset(chosen), table[budget] + total, "pastry-greedy")
+
+
 def select_pastry(problem: SelectionProblem) -> SelectionResult:
     """Solve a Pastry selection problem with the appropriate algorithm:
-    the DP when QoS bounds are present, the faster greedy otherwise."""
+    the DP when QoS bounds are present, the flat greedy otherwise."""
     if problem.delay_bounds:
         return select_pastry_dp(problem)
     return select_pastry_greedy(problem)

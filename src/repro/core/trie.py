@@ -1,7 +1,12 @@
 """Path-compressed binary trie over peer identifiers (paper Section IV).
 
 The Pastry selection algorithms view the observed peers ``V`` (plus the
-core neighbors) as leaves of a binary trie of their ids. The paper uses an
+core neighbors) as leaves of a binary trie of their ids. This pointer trie
+backs the solvers that need vertex state between passes: the QoS dynamic
+program (subtree markers), the incremental selector (Section IV-C path
+refresh) and the trie-greedy oracle. The runtime greedy of
+:mod:`repro.core.pastry_selection` builds the same tree as flat lists
+instead (DESIGN.md §16). The paper uses an
 uncompressed trie with ``O(n b)`` vertices; we path-compress unary chains
 into single edges carrying a ``length`` multiplier, which yields exactly
 the same dynamic-programming values with only ``O(n)`` vertices (a chain of
@@ -32,6 +37,7 @@ from typing import Callable, Iterator
 
 from repro.util.errors import ConfigurationError
 from repro.util.ids import IdSpace
+from repro.util.validation import require_weight
 
 __all__ = ["TrieVertex", "PeerTrie"]
 
@@ -184,8 +190,7 @@ class PeerTrie:
         roles.
         """
         self.space.validate(peer, "peer id")
-        if frequency < 0:
-            raise ConfigurationError(f"frequency must be non-negative, got {frequency!r}")
+        require_weight(frequency, f"frequency of peer {peer}")
         existing = self._leaves.get(peer)
         if existing is not None:
             existing.frequency = frequency
@@ -201,8 +206,7 @@ class PeerTrie:
 
     def update_frequency(self, peer: int, frequency: float) -> None:
         """Set the access frequency of an existing peer (Section IV-C)."""
-        if frequency < 0:
-            raise ConfigurationError(f"frequency must be non-negative, got {frequency!r}")
+        require_weight(frequency, f"frequency of peer {peer}")
         leaf = self._leaves[peer]
         leaf.frequency = frequency
         self._bubble_up(leaf)
@@ -210,9 +214,7 @@ class PeerTrie:
     def add_frequency(self, peer: int, delta: float) -> None:
         """Add ``delta`` to the frequency of an existing peer."""
         leaf = self._leaves[peer]
-        updated = leaf.frequency + delta
-        if updated < 0:
-            raise ConfigurationError(f"frequency for peer {peer} would become negative")
+        updated = require_weight(leaf.frequency + delta, f"frequency of peer {peer}")
         leaf.frequency = updated
         self._bubble_up(leaf)
 

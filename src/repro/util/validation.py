@@ -17,6 +17,7 @@ __all__ = [
     "require_positive",
     "require_probability",
     "require_unique",
+    "require_weight",
     "require_frequencies",
 ]
 
@@ -69,6 +70,18 @@ def require_unique(values: Iterable[int], name: str) -> list[int]:
     if len(set(items)) != len(items):
         raise ConfigurationError(f"{name} contains duplicate entries")
     return items
+
+
+def require_weight(value: float, name: str) -> float:
+    """Validate one access frequency: the rule :func:`require_frequencies`
+    applies to every weight of a mapping (finite and non-negative)."""
+    try:
+        ok = value >= 0 and value != float("inf")
+    except TypeError:
+        ok = False
+    if not ok:
+        raise ConfigurationError(f"{name} must be a finite non-negative number, got {value!r}")
+    return value
 
 
 def require_frequencies(frequencies: Mapping[int, float], name: str = "frequencies") -> None:

@@ -124,7 +124,9 @@ REGISTRY: dict[str, Invariant] = {
             "re-evaluation, and (on tiny instances) brute force all agree on "
             "the optimal selection cost (eq. 7-10 / Section IV); on Chord the "
             "problem solved inside a stacked block between unrelated decoys "
-            "gets exactly the set and cost it gets alone.",
+            "gets exactly the set and cost it gets alone; on Pastry and "
+            "Kademlia the flat greedy returns exactly the trie greedy's set "
+            "and cost bits, on the problem and on two tie-heavy decoys.",
         ),
         Invariant(
             "selection.nesting",
@@ -317,12 +319,13 @@ def _solve_pair(problem: SelectionProblem, overlay: str):
     )
 
 
-#: Peers per decoy of the Chord block check: two decoys take the block
-#: past the stacked solver's crossover whatever the scenario's size.
+#: Peers per decoy: two decoys take a Chord block past the stacked
+#: solver's crossover whatever the scenario's size, and their tied weights
+#: exercise the prefix greedy's tie-break on every check.
 _DECOY_PEERS = 64
 
 
-def _chord_decoys(problem: SelectionProblem) -> list[SelectionProblem]:
+def _decoys(problem: SelectionProblem) -> list[SelectionProblem]:
     """Two problems unrelated to ``problem`` (32-bit ids, tied integer
     weights, cores among the peers), seeded by its source."""
     rng = random.Random(problem.source)
@@ -345,11 +348,12 @@ def _chord_decoys(problem: SelectionProblem) -> list[SelectionProblem]:
 
 def check_selection_equivalence(problem: SelectionProblem, overlay: str) -> list[str]:
     """DP ≡ fast/greedy ≡ re-evaluated cost (≡ brute force when tiny);
-    on Chord also block-solved ≡ solved alone, exactly."""
+    on Chord also block-solved ≡ solved alone, on Pastry and Kademlia flat
+    greedy ≡ trie greedy, both exactly."""
     messages: list[str] = []
     dp, fast, fast_label = _solve_pair(problem, overlay)
     if overlay == "chord":
-        before, after = _chord_decoys(problem)
+        before, after = _decoys(problem)
         stacked = chord_selection.select_chord_many([before, problem, after])[1]
         if stacked.auxiliary != fast.auxiliary or stacked.cost != fast.cost:
             messages.append(
@@ -357,6 +361,8 @@ def check_selection_equivalence(problem: SelectionProblem, overlay: str) -> list
                 f"{stacked.cost!r}, alone {sorted(fast.auxiliary)} at cost "
                 f"{fast.cost!r} (node {problem.source})"
             )
+    else:
+        messages.extend(_flat_against_trie(problem, overlay))
     if not _close(dp.cost, fast.cost):
         messages.append(
             f"dp cost {dp.cost!r} != {fast_label} cost {fast.cost!r} "
@@ -387,6 +393,28 @@ def check_selection_equivalence(problem: SelectionProblem, overlay: str) -> list
             messages.append(
                 f"dp cost {dp.cost!r} != brute-force optimum {brute.cost!r} "
                 f"at node {problem.source}"
+            )
+    return messages
+
+
+def _flat_against_trie(problem: SelectionProblem, overlay: str) -> list[str]:
+    """The flat prefix greedy must reproduce the trie greedy exactly (set
+    and cost bits) on ``problem`` and on two tie-heavy decoys."""
+    select = (
+        kademlia_selection.select_kademlia_greedy
+        if overlay == "kademlia"
+        else pastry_selection.select_pastry_greedy
+    )
+    messages = []
+    for index, candidate in enumerate([problem, *_decoys(problem)]):
+        flat = select(candidate)
+        oracle = pastry_selection.select_pastry_greedy_trie(candidate)
+        if flat.auxiliary != oracle.auxiliary or flat.cost.hex() != oracle.cost.hex():
+            where = "" if index == 0 else f" on tied decoy {index}"
+            messages.append(
+                f"flat greedy chose {sorted(flat.auxiliary)} at cost "
+                f"{flat.cost!r}, trie greedy {sorted(oracle.auxiliary)} at "
+                f"cost {oracle.cost!r}{where} (node {problem.source})"
             )
     return messages
 

@@ -82,6 +82,48 @@ class TestInsert:
             build(bits=4).insert(16)
 
 
+_BAD_WEIGHTS = [float("nan"), float("inf"), -float("inf"), -1.0]
+
+
+class TestRejectsNonFiniteWeights:
+    """Every weight entry point applies ``require_frequencies``'s rule:
+    finite and non-negative, else a one-line ``ConfigurationError``."""
+
+    @pytest.mark.parametrize("weight", _BAD_WEIGHTS)
+    def test_insert(self, weight):
+        trie = build(entries=[(1, 2.0)])
+        with pytest.raises(ConfigurationError, match="finite non-negative"):
+            trie.insert(5, weight)
+        assert 5 not in trie
+        assert trie.total_frequency() == 2.0
+
+    @pytest.mark.parametrize("weight", _BAD_WEIGHTS)
+    def test_update_frequency(self, weight):
+        trie = build(entries=[(1, 2.0)])
+        with pytest.raises(ConfigurationError, match="finite non-negative"):
+            trie.update_frequency(1, weight)
+        assert trie.leaf(1).frequency == 2.0
+
+    @pytest.mark.parametrize("delta", [float("nan"), float("inf"), -3.0])
+    def test_add_frequency(self, delta):
+        trie = build(entries=[(1, 2.0)])
+        with pytest.raises(ConfigurationError, match="finite non-negative"):
+            trie.add_frequency(1, delta)
+        assert trie.leaf(1).frequency == 2.0
+
+    def test_incremental_selector_rejects_nan_observation(self):
+        # Regression: a NaN weight used to be accepted and surfaced later
+        # as a misleading "QoS delay bounds cannot be met" from selection().
+        from repro.core.pastry_selection import IncrementalPastrySelector
+
+        selector = IncrementalPastrySelector(IdSpace(8), source=0, core_neighbors=[128], k=2)
+        selector.observe(7, 1.0)
+        with pytest.raises(ConfigurationError) as raised:
+            selector.observe(3, float("nan"))
+        assert "\n" not in str(raised.value)
+        assert selector.selection().auxiliary == {7}
+
+
 class TestAggregates:
     def test_frequency_sum_propagates(self):
         trie = build(entries=[(1, 2.0), (2, 3.0), (200, 5.0)])

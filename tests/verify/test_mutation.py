@@ -8,6 +8,8 @@ the same violation while the bug is in — and goes green once it is out.
 """
 
 import dataclasses
+import inspect
+import json
 
 import pytest
 
@@ -46,6 +48,22 @@ def plant_core_offset_bug(monkeypatch):
                 self.rank[self.pos_base[i] + 1 : self.pos_base[i + 1]] -= 1
 
     monkeypatch.setattr(chord_selection, "_StackedBlock", OffByOne)
+
+
+def plant_tie_break_flip(monkeypatch):
+    """Recompile the flat prefix greedy with ``<`` for ``<=`` in its eq.-4
+    merge: on a tie it now grows the second child instead of the first.
+    Costs stay optimal, so only the exact trie-oracle comparison sees it."""
+    source = inspect.getsource(pastry_selection.select_pastry_greedy)
+    flipped = source.replace(
+        "if grow_first <= grow_second:", "if grow_first < grow_second:"
+    )
+    assert flipped != source
+    namespace = dict(vars(pastry_selection))
+    exec(compile(flipped, pastry_selection.__file__, "exec"), namespace)
+    monkeypatch.setattr(
+        pastry_selection, "select_pastry_greedy", namespace["select_pastry_greedy"]
+    )
 
 
 def first_chord_scenario_with_selection(master_seed=0, count=20):
@@ -143,7 +161,6 @@ class TestShrinkAndReplay:
 
         document = failure_document(scenario, result)
         path = tmp_path / "failure.json"
-        import json
 
         path.write_text(json.dumps(document, sort_keys=True, indent=2))
         loaded = load_failure(path)
@@ -180,7 +197,6 @@ class TestShrinkAndReplay:
         document = failure_document(scenario, result)
         assert document["schema"] == "VERIFY_REPRO_v1"
         path = tmp_path / "stacking_failure.json"
-        import json
 
         path.write_text(json.dumps(document, sort_keys=True, indent=2))
         loaded = load_failure(path)
@@ -188,6 +204,41 @@ class TestShrinkAndReplay:
         assert not replayed.passed
         assert any(
             violation.invariant == "selection.equivalence"
+            for violation in replayed.violations
+        )
+
+        monkeypatch.undo()
+        assert replay_failure(loaded).passed
+
+    def test_flat_tie_break_flip_caught_shrunk_and_replayed(self, monkeypatch, tmp_path):
+        scenario = next(
+            scenario
+            for scenario in generate_scenarios(20, 0, "pastry")
+            if any(op == "recompute" for op, __ in scenario.steps)
+        )
+        assert run_scenario(scenario).passed
+        plant_tie_break_flip(monkeypatch)
+        report = run_scenario(scenario)
+        assert not report.passed
+        assert any(
+            violation.invariant == "selection.equivalence"
+            and "trie greedy" in violation.message
+            for violation in report.violations
+        )
+
+        result = shrink(scenario, "selection.equivalence", budget=40)
+        assert result.scenario.n <= scenario.n
+        assert len(result.scenario.steps) <= len(scenario.steps)
+        document = failure_document(scenario, result)
+        assert document["schema"] == "VERIFY_REPRO_v1"
+        path = tmp_path / "tie_break_failure.json"
+        path.write_text(json.dumps(document, sort_keys=True, indent=2))
+        loaded = load_failure(path)
+        replayed = replay_failure(loaded)
+        assert not replayed.passed
+        assert any(
+            violation.invariant == "selection.equivalence"
+            and "trie greedy" in violation.message
             for violation in replayed.violations
         )
 
@@ -333,7 +384,6 @@ class TestCachestatsMutation:
         document = failure_document(scenario, result)
         assert document["schema"] == "VERIFY_REPRO_v1"
         path = tmp_path / "cachestats_failure.json"
-        import json
 
         path.write_text(json.dumps(document, sort_keys=True, indent=2))
         loaded = load_failure(path)
