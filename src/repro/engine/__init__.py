@@ -1,17 +1,19 @@
 """Columnar struct-of-arrays simulation engine (DESIGN.md §10).
 
-The object-graph overlays (:mod:`repro.chord`, :mod:`repro.pastry`) are
-the ground-truth oracle: every routing decision is a Python-level walk
-over per-node sets and sorted lists. That caps figure cells at a few
-thousand nodes. This package re-expresses a *frozen* overlay as flat
-NumPy arrays — one sorted id array plus CSR neighbor matrices — and
+The object-graph overlays (:mod:`repro.chord`, :mod:`repro.pastry`,
+:mod:`repro.kademlia`) are the ground-truth oracle: every routing
+decision is a Python-level walk over per-node sets and sorted lists.
+That caps figure cells at a few thousand nodes. This package
+re-expresses a *frozen* overlay as flat NumPy arrays — one sorted id
+array plus CSR or padded neighbor matrices — and
 routes an entire batch of lookups as a frontier advanced one hop per
 vectorized step.
 
 Layout of the package:
 
 * :mod:`repro.engine.columnar` — the snapshot types
-  (:class:`ColumnarChord`, :class:`ColumnarPastry`) and the synthetic
+  (:class:`ColumnarChord`, :class:`ColumnarPastry`,
+  :class:`ColumnarKademlia`) and the synthetic
   :func:`build_direct_chord` used by the memory-footprint bench gate.
 * :mod:`repro.engine.router` — the batched frontier routers and the
   :class:`BatchRouteResult` fold into :class:`~repro.sim.metrics.
@@ -29,7 +31,6 @@ and the statistics folds are exact integer sums in float64.
 """
 
 from repro.engine.dispatch import (
-    COLUMNAR_AUTO_THRESHOLD,
     COLUMNAR_MAX_BITS,
     ENGINES,
     columnar_support,
@@ -38,7 +39,6 @@ from repro.engine.dispatch import (
 )
 
 __all__ = [
-    "COLUMNAR_AUTO_THRESHOLD",
     "COLUMNAR_MAX_BITS",
     "ENGINES",
     "columnar_support",

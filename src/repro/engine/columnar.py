@@ -28,6 +28,21 @@ ColumnarPastry
     ``span``, ``radius_max``, ``no_leaves``) precomputed once — the
     quantities ``_leaf_delivery_target`` re-derives per hop.
 
+ColumnarKademlia
+    ``ids``           (n,)        sorted live node ids.
+    ``contacts``      (n, width)  each node's ``core ∪ auxiliary``
+                                  ascending, padded with the owner's
+                                  own id (so the row's XOR argmin is
+                                  the owner exactly when no contact is
+                                  strictly closer to the key); uint32
+                                  when ids fit (bits <= 32), else int64.
+    ``contact_pos``   (n, width)  each contact's position in ``ids``
+                                  (pads: the owner's own position).
+    ``contact_class`` (n, width)  int8 (0=core, 1=auxiliary; an id in
+                                  both sets is core, as in
+                                  ``kademlia.routing._pointer_class``;
+                                  pads -1, never forwarded to).
+
 Snapshots are verbatim: they copy whatever the object tables hold right
 now, including (in verification scenarios) stale pointers to dead
 nodes. The batched routers assume a fully-live frozen overlay — the
@@ -49,8 +64,10 @@ import numpy as np
 
 __all__ = [
     "ColumnarChord",
+    "ColumnarKademlia",
     "ColumnarPastry",
     "snapshot_chord",
+    "snapshot_kademlia",
     "snapshot_pastry",
     "build_direct_chord",
 ]
@@ -60,6 +77,9 @@ __all__ = [
 #: Pastry: core > leaf > auxiliary (``pastry.routing._pointer_class``).
 CHORD_CLASSES = ("core", "successor", "auxiliary", "unknown")
 PASTRY_CLASSES = ("core", "leaf", "auxiliary")
+
+#: ``ColumnarKademlia.contact_class`` code of the own-id pad columns.
+KADEMLIA_PAD_CODE = -1
 
 
 @dataclass
@@ -190,6 +210,75 @@ class ColumnarPastry:
         above = self.ids[index % n]
         below = self.ids[index - 1]  # index 0 wraps to the largest id
         return _closer_on_ring(self.size, keys, above, below)
+
+
+@dataclass
+class ColumnarKademlia:
+    """Frozen Kademlia network as flat arrays (see module docstring).
+
+    ``width`` is one more than the largest contact set, so every row
+    keeps at least one own-id pad column and a row's XOR argmin lands
+    on a pad exactly when the owner is XOR-closest among ``contacts ∪
+    {self}`` — the object router's "no strictly closer contact" stop.
+    XOR is injective for a fixed key, so that argmin is unique up to the
+    pads' duplicates of the owner.
+    """
+
+    bits: int
+    ids: np.ndarray
+    contacts: np.ndarray
+    contact_pos: np.ndarray
+    contact_class: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return int(self.ids.size)
+
+    @property
+    def width(self) -> int:
+        return int(self.contacts.shape[1])
+
+    @property
+    def nbytes(self) -> int:
+        return int(
+            self.ids.nbytes
+            + self.contacts.nbytes
+            + self.contact_pos.nbytes
+            + self.contact_class.nbytes
+        )
+
+    @property
+    def bytes_per_node(self) -> float:
+        return self.nbytes / max(1, self.n)
+
+    def responsible(self, keys: np.ndarray) -> np.ndarray:
+        """Vectorized XOR-closest oracle, one id bit per level.
+
+        Each lane keeps the ``ids[lo:hi]`` range that shares the prefix
+        ``base`` chosen so far; at bit ``b`` one ``searchsorted`` for
+        ``base | 2**b`` splits it into the halves whose bit ``b`` is 0
+        and 1, and the lane keeps the half matching the key's bit when
+        that half is non-empty (the other one otherwise). That greedy
+        choice is the XOR minimum: a matched bit outweighs every lower
+        bit. No ``lanes x n`` matrix is ever built, and the descent stops
+        early once every lane's range holds a single id.
+        """
+        keys = np.asarray(keys, dtype=np.int64)
+        ids = self.ids
+        lo = np.zeros(keys.shape, dtype=np.int64)
+        hi = np.full(keys.shape, self.n, dtype=np.int64)
+        base = np.zeros(keys.shape, dtype=np.int64)
+        for level in range(self.bits - 1, -1, -1):
+            if not (hi - lo > 1).any():
+                break
+            bit = np.int64(1 << level)
+            upper = base | bit
+            split = np.searchsorted(ids, upper)
+            go_upper = np.where((keys & bit) != 0, split < hi, split == lo)
+            lo = np.where(go_upper, split, lo)
+            hi = np.where(go_upper, hi, split)
+            base = np.where(go_upper, upper, base)
+        return ids[lo]
 
 
 def _closer_on_ring(size: int, keys: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -402,6 +491,41 @@ def snapshot_pastry(network) -> ColumnarPastry:
 def _circular(space, a: int, b: int) -> int:
     gap = space.gap(a, b)
     return min(gap, space.size - gap)
+
+
+def snapshot_kademlia(network) -> ColumnarKademlia:
+    """Materialize a :class:`ColumnarKademlia` from a live network."""
+    alive = network.alive_ids()
+    n = len(alive)
+    ids = np.asarray(alive, dtype=np.int64)
+    flat: list[int] = []
+    codes: list[int] = []
+    counts = np.zeros(n, dtype=np.int64)
+    for position, node_id in enumerate(alive):
+        node = network.node(node_id)
+        core = node.core
+        row = sorted(core | node.auxiliary)
+        counts[position] = len(row)
+        flat.extend(row)
+        codes.extend(0 if contact in core else 1 for contact in row)
+    width = int(counts.max(initial=0)) + 1
+    owner = np.repeat(np.arange(n, dtype=np.int64), counts)
+    column = np.arange(owner.size, dtype=np.int64) - np.repeat(
+        np.cumsum(counts) - counts, counts
+    )
+    # uint32 rows halve the router's per-step gather when ids fit.
+    contact_dtype = np.uint32 if network.space.bits <= 32 else np.int64
+    contacts = np.repeat(ids.astype(contact_dtype)[:, None], width, axis=1)
+    contacts[owner, column] = flat
+    contact_class = np.full((n, width), KADEMLIA_PAD_CODE, dtype=np.int8)
+    contact_class[owner, column] = codes
+    return ColumnarKademlia(
+        bits=network.space.bits,
+        ids=ids,
+        contacts=contacts,
+        contact_pos=np.searchsorted(ids, contacts),
+        contact_class=contact_class,
+    )
 
 
 # ----------------------------------------------------------------------

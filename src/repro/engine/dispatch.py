@@ -8,12 +8,12 @@ accepts three values:
   :class:`~repro.util.errors.ConfigurationError` with the blocking
   reason when the cell is unsupported (NumPy missing, faults active,
   oversized id space, ...).
-* ``"auto"`` (default) — columnar when the cell is supported *and*
-  large enough that the batch setup cost amortizes
-  (:data:`COLUMNAR_AUTO_THRESHOLD` nodes); objects otherwise. The
-  oracle-dispatch pattern from PR 1's scalar-vs-vectorized kernels:
-  small inputs take the transparent path, big inputs the fast one, and
-  both produce bit-identical results.
+* ``"auto"`` (default) — columnar whenever :func:`columnar_support`
+  allows it, objects otherwise. There is no size threshold: measured
+  whole cells run as fast or faster columnar at every size tried
+  (DESIGN.md §10), and both engines produce bit-identical results, so
+  the object routers remain the verification oracle rather than a
+  small-cell fast path.
 
 Supportability is intentionally conservative. The columnar engine
 freezes the overlay before routing, so anything that mutates routing
@@ -28,7 +28,6 @@ from __future__ import annotations
 from repro.util.errors import ConfigurationError
 
 __all__ = [
-    "COLUMNAR_AUTO_THRESHOLD",
     "COLUMNAR_MAX_BITS",
     "ENGINES",
     "columnar_support",
@@ -37,11 +36,6 @@ __all__ = [
 ]
 
 ENGINES = ("auto", "objects", "columnar")
-
-#: ``auto`` switches to columnar at this many nodes. Below it the object
-#: path wins or ties: snapshot construction is O(total table entries)
-#: and the frontier pays fixed per-step numpy overhead.
-COLUMNAR_AUTO_THRESHOLD = 512
 
 #: The vectorized routers hold ids in int64 and take bit lengths through
 #: the float64 mantissa (``np.frexp``), which is exact only below 2**53.
@@ -75,8 +69,6 @@ def columnar_support(config) -> tuple[bool, str]:
     """
     if numpy_or_none() is None:
         return False, "numpy is not installed"
-    if getattr(config, "overlay", None) == "kademlia":
-        return False, "the columnar engine implements chord and pastry routing only"
     if getattr(config, "duration", None) is not None and hasattr(config, "queries_per_second"):
         return False, "churn mode mutates routing state mid-stream"
     if config.faults_active:
@@ -117,6 +109,6 @@ def resolve_engine(config, telemetry_active: bool = False) -> str:
             raise ConfigurationError(f"engine='columnar' unsupported for this cell: {reason}")
         return "columnar"
     # auto
-    if telemetry_active or not supported or config.n < COLUMNAR_AUTO_THRESHOLD:
+    if telemetry_active or not supported:
         return "objects"
     return "columnar"

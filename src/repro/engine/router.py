@@ -1,6 +1,6 @@
 """Batched frontier routers over columnar snapshots.
 
-Both routers advance a whole batch of in-flight lookups one hop per
+All three routers advance a whole batch of in-flight lookups one hop per
 vectorized step: gather each active lane's next-hop decision from the
 CSR tables, terminate the lanes whose current node believes itself the
 destination, advance the rest, repeat until the frontier drains.
@@ -18,6 +18,11 @@ guarantees):
   delivery (arc-coverage test, then numerically-closest of
   ``leaves ∪ {self}``), best routing-cell candidate (greedy or
   proximity ranking), then the numerically-closer-neighbor fallback.
+* Kademlia (:func:`batch_route_kademlia`): next hop = the contact
+  XOR-closest to the key, one row argmin over ``core ∪ auxiliary``
+  padded with the owner's own id; the argmin landing on a pad (no
+  strictly closer contact) terminates the lookup, which succeeds iff
+  the current node is the XOR-responsible node.
 
 Hop budgets match the object routers: a lane whose hop count exceeds
 ``4 * bits`` at the top of a step fails with the accumulated count —
@@ -40,9 +45,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.engine.columnar import ColumnarChord, ColumnarPastry
+from repro.engine.columnar import ColumnarChord, ColumnarKademlia, ColumnarPastry
 
-__all__ = ["BatchRouteResult", "batch_route_chord", "batch_route_pastry"]
+__all__ = [
+    "BatchRouteResult",
+    "batch_route_chord",
+    "batch_route_kademlia",
+    "batch_route_pastry",
+]
 
 #: Per-hop pointer-class labels, indexed by the int8 codes the snapshot
 #: and the routers use. "leaf" covers both leaf-delivery forwards and
@@ -50,6 +60,13 @@ __all__ = ["BatchRouteResult", "batch_route_chord", "batch_route_pastry"]
 #: tracer's attribution.
 CHORD_CLASS_NAMES = ("core", "successor", "auxiliary", "unknown")
 PASTRY_CLASS_NAMES = ("core", "leaf", "auxiliary", "fallback")
+KADEMLIA_CLASS_NAMES = ("core", "auxiliary")
+
+CLASS_NAMES = {
+    "chord": CHORD_CLASS_NAMES,
+    "pastry": PASTRY_CLASS_NAMES,
+    "kademlia": KADEMLIA_CLASS_NAMES,
+}
 
 
 @dataclass
@@ -98,7 +115,7 @@ class BatchRouteResult:
     def lane_classes(self, lane: int, overlay: str) -> list[str]:
         """Pointer-class labels of one lane's forwards (requires
         ``record_paths``)."""
-        names = CHORD_CLASS_NAMES if overlay == "chord" else PASTRY_CLASS_NAMES
+        names = CLASS_NAMES[overlay]
         row = self.path_classes[lane]
         return [names[int(code)] for code in row[row >= 0]]
 
@@ -525,6 +542,94 @@ def batch_route_pastry(
         hops_by_class={
             name: int(count)
             for name, count in zip(PASTRY_CLASS_NAMES, class_counts)
+            if count
+        },
+        paths=paths,
+        path_classes=path_classes,
+    )
+
+
+# ----------------------------------------------------------------------
+# Kademlia
+# ----------------------------------------------------------------------
+
+
+def batch_route_kademlia(
+    snapshot: ColumnarKademlia,
+    sources,
+    keys,
+    max_hops: int | None = None,
+    record_paths: bool = False,
+) -> BatchRouteResult:
+    """Route a batch of ``(source, key)`` lookups over a frozen network."""
+    ids = snapshot.ids
+    width = snapshot.width
+    limit = max_hops if max_hops is not None else 4 * snapshot.bits
+    contact_pos = snapshot.contact_pos.ravel()
+    contact_class = snapshot.contact_class.ravel()
+
+    key = np.asarray(keys, dtype=np.int64)
+    lanes_total = key.size
+    hops = np.zeros(lanes_total, dtype=np.int64)
+    succeeded = np.zeros(lanes_total, dtype=bool)
+    destinations = np.full(lanes_total, -1, dtype=np.int64)
+    taken: list[np.ndarray] = []  # chosen slots; classes binned once at the end
+    paths = path_classes = None
+
+    # A compacted frontier, as in the Chord router: ``lane`` maps each
+    # in-flight slot back to the caller's lane.
+    lane = np.arange(lanes_total, dtype=np.int64)
+    cur = _as_lane_indices(ids, sources)
+    resp = snapshot.responsible(key)
+    # XOR in the rows' own dtype: exact, since keys are ids of the space.
+    key = key.astype(snapshot.contacts.dtype, copy=False)
+    if record_paths:
+        paths = np.full((lanes_total, limit + 2), -1, dtype=np.int64)
+        paths[:, 0] = ids[cur]
+        path_classes = np.full((lanes_total, limit + 1), -1, dtype=np.int8)
+
+    step = 0
+    while lane.size:
+        step += 1
+        if step > limit + 1:
+            hops[lane] = limit + 1  # the object router's loop-top budget check
+            break
+        distance = snapshot.contacts.take(cur, axis=0)
+        np.bitwise_xor(distance, key[:, None], out=distance)
+        slot = cur * width + distance.argmin(axis=1)
+        nxt = contact_pos[slot]
+        valid = nxt != cur  # an own-id pad: no strictly closer contact
+        if not valid.all():
+            keep = np.flatnonzero(valid)
+            done = np.flatnonzero(~valid)
+            lane_done = lane.take(done)
+            owner_done = ids[cur.take(done)]
+            won = owner_done == resp.take(done)
+            succeeded[lane_done] = won
+            destinations[lane_done] = np.where(won, owner_done, -1)
+            hops[lane_done] = step - 1
+            lane = lane.take(keep)
+            key = key.take(keep)
+            resp = resp.take(keep)
+            slot = slot.take(keep)
+            nxt = nxt.take(keep)
+        cur = nxt
+        taken.append(slot)
+        if record_paths:
+            paths[lane, step] = ids[cur]
+            path_classes[lane, step - 1] = contact_class[slot]
+
+    class_counts = np.bincount(
+        contact_class[np.concatenate(taken)] if taken else np.zeros(0, np.int64),
+        minlength=len(KADEMLIA_CLASS_NAMES),
+    )
+    return BatchRouteResult(
+        hops=hops,
+        succeeded=succeeded,
+        destinations=destinations,
+        hops_by_class={
+            name: int(count)
+            for name, count in zip(KADEMLIA_CLASS_NAMES, class_counts)
             if count
         },
         paths=paths,

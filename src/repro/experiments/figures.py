@@ -519,15 +519,7 @@ def figure7(
         for series in overlays
         for multiple in (1, 2, 3)
     ]
-    # The engine override skips Kademlia cells: the columnar engine
-    # implements chord/pastry routing only (see engine.dispatch).
-    if engine != "auto":
-        cells = [
-            replace(cell, config=replace(cell.config, engine=engine))
-            if cell.config.overlay != "kademlia"
-            else cell
-            for cell in cells
-        ]
+    cells = _with_engine(cells, engine)
     cells = _with_workload(cells, workload)
     series_out = _assemble_series(cells, _execute_plan(cells, preset.replicas, jobs))
     return FigureResult(

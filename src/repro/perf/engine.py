@@ -59,22 +59,20 @@ ENGINE_SPEEDUP_THRESHOLD = 10.0
 ENGINE_MEMORY_THRESHOLD = 1024.0
 
 
-def _equivalence_cell(overlay: str, smoke: bool) -> ExperimentConfig:
-    if overlay == "chord":
-        if smoke:
-            return ExperimentConfig(
-                overlay="chord", n=192, k=7, alpha=1.2, bits=20, queries=1500, seed=0
-            )
-        return ExperimentConfig(
-            overlay="chord", n=1024, k=10, alpha=1.2, bits=32, queries=5000, seed=0
-        )
-    if smoke:
-        return ExperimentConfig(
-            overlay="pastry", n=128, k=7, alpha=1.2, bits=20, queries=1500, seed=0
-        )
-    return ExperimentConfig(
-        overlay="pastry", n=512, k=9, alpha=1.2, bits=32, queries=5000, seed=0
-    )
+#: ``(overlay, n, k, bits, queries)`` of the equivalence cells, smoke
+#: and full scale.
+_EQUIVALENCE_CELLS = {
+    True: (
+        ("chord", 192, 7, 20, 1500),
+        ("pastry", 128, 7, 20, 1500),
+        ("kademlia", 128, 7, 20, 1500),
+    ),
+    False: (
+        ("chord", 1024, 10, 32, 5000),
+        ("pastry", 512, 9, 32, 5000),
+        ("kademlia", 512, 9, 32, 5000),
+    ),
+}
 
 
 def engine_equivalence(smoke: bool = False) -> dict:
@@ -82,8 +80,10 @@ def engine_equivalence(smoke: bool = False) -> dict:
     if numpy_or_none() is None:
         return {"skipped": "numpy unavailable"}
     cells = {}
-    for overlay in ("chord", "pastry"):
-        base = _equivalence_cell(overlay, smoke)
+    for overlay, n, k, bits, queries in _EQUIVALENCE_CELLS[smoke]:
+        base = ExperimentConfig(
+            overlay=overlay, n=n, k=k, alpha=1.2, bits=bits, queries=queries, seed=0
+        )
         results = {}
         timings = {}
         for engine in ("objects", "columnar"):

@@ -20,6 +20,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
+from functools import partial
+from itertools import chain, islice
+from operator import attrgetter
 
 from repro.chord.ring import ChordRing
 from repro.chord.ring import oblivious_policy as chord_oblivious
@@ -84,7 +87,7 @@ class ExperimentConfig:
     retry: RetryPolicy | None = None
     #: Simulation engine: ``"objects"`` (object-graph oracle),
     #: ``"columnar"`` (vectorized struct-of-arrays frontier), or
-    #: ``"auto"`` — columnar for large supported cells, objects
+    #: ``"auto"`` — columnar whenever the cell is supported, objects
     #: otherwise. See :mod:`repro.engine.dispatch`.
     engine: str = "auto"
     #: Budget policy: ``"uniform"`` gives every node the same per-node
@@ -373,6 +376,14 @@ class _Bench:
 # Stable mode
 # ----------------------------------------------------------------------
 
+#: Lanes per routed batch on the columnar path. The query stream is
+#: consumed this many queries at a time, so memory stays flat in the
+#: query count; larger batches amortize numpy call overhead further but
+#: raise peak RSS (DESIGN.md §10).
+COLUMNAR_LANE_BATCH = 1024
+
+_SOURCE_ITEM = attrgetter("source", "item")
+
 
 def _normalize_telemetry(telemetry):
     """``None`` unless ``telemetry`` is an enabled telemetry runtime —
@@ -538,22 +549,25 @@ def _run_stable_columnar(config: ExperimentConfig) -> ComparisonResult:
     Mirrors :func:`run_stable` stream for stream: the same
     :class:`~repro.util.rng.SeedSequenceRegistry` draws, the same
     warmup protocol, the same per-policy auxiliary recomputation and the
-    same materialized query stream — then freezes each policy's overlay
-    into a columnar snapshot and routes the whole batch vectorized.
-    Clean measured lookups are side-effect-free (``record_access`` is
-    off), so skipping the object walk is observationally invisible:
-    the folded statistics are bit-identical.
+    same query stream — then freezes each policy's overlay into a
+    columnar snapshot and routes the stream vectorized, pulling
+    :data:`COLUMNAR_LANE_BATCH` queries at a time into int64 arrays and
+    folding each batch into the policy's statistics. Clean measured
+    lookups are side-effect-free (``record_access`` is off), so skipping
+    the object walk is observationally invisible, and the integer folds
+    make any batching give bit-identical statistics.
     """
-    from repro.engine.columnar import snapshot_chord, snapshot_pastry
-    from repro.engine.router import batch_route_chord, batch_route_pastry
+    import numpy as np
+
+    from repro.engine import columnar, router
 
     registry = SeedSequenceRegistry(config.seed)
     bench = _Bench(config, registry)
     overlay = bench.overlay
     if config.learned_frequencies:
         # Warmup routing's only side effect on a clean overlay is the
-        # source node observing the responsible node — which the ring
-        # oracle gives directly, no hop-by-hop walk needed.
+        # source node observing the responsible node — which the
+        # overlay's oracle gives directly, no hop-by-hop walk needed.
         generator = bench.query_generator("warmup-queries")
         alive = overlay.alive_ids()
         for query in generator.stream(config.effective_warmup_queries, lambda: alive):
@@ -562,6 +576,15 @@ def _run_stable_columnar(config: ExperimentConfig) -> ComparisonResult:
                 overlay.node(query.source).record_access(destination)
     else:
         bench.seed_all()
+    # Resolved per call (not at import), so patched module attributes
+    # are honoured.
+    if config.overlay == "chord":
+        snapshot_fn, route = columnar.snapshot_chord, router.batch_route_chord
+    elif config.overlay == "kademlia":
+        snapshot_fn, route = columnar.snapshot_kademlia, router.batch_route_kademlia
+    else:
+        snapshot_fn = columnar.snapshot_pastry
+        route = partial(router.batch_route_pastry, mode=config.pastry_mode)
     optimal, oblivious = bench.policies()
     stats = {}
     for name, policy in (("optimal", optimal), ("oblivious", oblivious)):
@@ -571,19 +594,18 @@ def _run_stable_columnar(config: ExperimentConfig) -> ComparisonResult:
             registry.fresh(f"policy-rng-{name}"),
             frequency_limit=config.frequency_limit,
         )
+        snapshot = snapshot_fn(overlay)
         workload = bench.workload_stream("queries", horizon=config.queries / DEFAULT_RATE)
         alive = overlay.alive_ids()
-        queries = list(workload.stream(config.queries, lambda: alive))
-        sources = [query.source for query in queries]
-        keys = [query.item for query in queries]
-        if config.overlay == "chord":
-            batch = batch_route_chord(snapshot_chord(overlay), sources, keys)
-        else:
-            batch = batch_route_pastry(
-                snapshot_pastry(overlay), sources, keys, mode=config.pastry_mode
-            )
+        pairs = map(_SOURCE_ITEM, workload.stream(config.queries, lambda: alive))
         collected = HopStatistics()
-        batch.fold_into(collected)
+        while True:
+            flat = np.fromiter(
+                chain.from_iterable(islice(pairs, COLUMNAR_LANE_BATCH)), dtype=np.int64
+            )
+            if not flat.size:
+                break
+            route(snapshot, flat[0::2], flat[1::2]).fold_into(collected)
         stats[name] = collected
     label = (
         f"{config.overlay} stable n={config.n} k={config.effective_k} "

@@ -24,11 +24,11 @@ Naming convention: ``<scope>.<property>`` with scopes
   exactly with :class:`~repro.sim.metrics.HopStatistics` counters.
 * ``engine`` — the columnar engine (:mod:`repro.engine`): snapshots are
   faithful images of the object overlay (id axis, CSR rows, dense
-  gap-sorted hop tables), and batched frontier lookups replayed on a
-  snapshot satisfy the same per-hop progress and
-  termination-at-oracle-responsible properties as object lookups —
-  checked through the *same* independent oracles, with the batch result
-  adapted into the trace shape they consume.
+  gap-sorted hop tables, padded Kademlia contact rows), and batched
+  frontier lookups replayed on a snapshot satisfy the same per-hop
+  progress and termination-at-oracle-responsible properties as object
+  lookups — checked through the *same* independent oracles, with the
+  batch result adapted into the trace shape they consume.
 
 Selection solvers are always called through their *module* attribute
 (``chord_selection.select_chord_fast`` etc.), so tests can monkeypatch a
@@ -256,18 +256,20 @@ REGISTRY: dict[str, Invariant] = {
         Invariant(
             "engine.table_coherence",
             "engine",
-            ("chord", "pastry"),
+            ("chord", "pastry", "kademlia"),
             "The columnar snapshot is a faithful image of the object "
             "overlay: the sorted live-id axis, every per-node CSR row with "
             "its pointer classes, the dense gap-sorted Chord hop rows "
             "(prefix = entries ascending by clockwise gap, pads duplicating "
-            "the max-gap entry), and the Pastry leaf rows and geometry all "
-            "match a linear re-derivation from the object nodes.",
+            "the max-gap entry), the Pastry leaf rows and geometry, and the "
+            "Kademlia contact rows (core ∪ auxiliary ascending, positions, "
+            "core-over-auxiliary classes, own-id pads) all match a linear "
+            "re-derivation from the object nodes.",
         ),
         Invariant(
             "engine.routing_progress",
             "engine",
-            ("chord", "pastry"),
+            ("chord", "pastry", "kademlia"),
             "Batched frontier lookups on a columnar snapshot make strict "
             "per-hop progress under the overlay's distance metric — the "
             "object-router progress oracle evaluated on recorded batch "
@@ -276,7 +278,7 @@ REGISTRY: dict[str, Invariant] = {
         Invariant(
             "engine.routing_termination",
             "engine",
-            ("chord", "pastry"),
+            ("chord", "pastry", "kademlia"),
             "Batched frontier lookups terminate at the linear-scan-oracle "
             "responsible node, report hop counts consistent with their "
             "recorded paths, and never fail on a clean snapshot.",
@@ -1133,10 +1135,46 @@ def _check_pastry_snapshot(overlay) -> list[str]:
     return messages
 
 
+def _check_kademlia_snapshot(overlay) -> list[str]:
+    from repro.engine.columnar import KADEMLIA_PAD_CODE, snapshot_kademlia
+
+    snapshot = snapshot_kademlia(overlay)
+    alive = overlay.alive_ids()
+    if snapshot.ids.tolist() != list(alive):
+        return [f"columnar id axis != sorted live ids ({snapshot.n} vs {len(alive)})"]
+    messages: list[str] = []
+    rows = [sorted(overlay.node(node_id).neighbor_ids()) for node_id in alive]
+    width = max((len(row) for row in rows), default=0) + 1
+    if snapshot.width != width:
+        return [f"contact width {snapshot.width} != largest contact set + 1 = {width}"]
+    contacts = snapshot.contacts.tolist()
+    positions = snapshot.contact_pos.tolist()
+    classes = snapshot.contact_class.tolist()
+    for position, (node_id, row) in enumerate(zip(alive, rows)):
+        node = overlay.node(node_id)
+        pads = width - len(row)
+        expected_classes = [0 if entry in node.core else 1 for entry in row]
+        if contacts[position] != row + [node_id] * pads:
+            messages.append(
+                f"node {node_id} contact row {contacts[position]} != sorted "
+                f"core ∪ auxiliary {row} + own-id padding"
+            )
+        elif [alive[index] for index in positions[position]] != contacts[position]:
+            messages.append(f"node {node_id} contact positions do not index its contacts")
+        elif classes[position] != expected_classes + [KADEMLIA_PAD_CODE] * pads:
+            messages.append(
+                f"node {node_id} contact classes {classes[position]} != "
+                f"{expected_classes} + pad codes"
+            )
+    return messages
+
+
 def check_engine_coherence(overlay_kind: str, overlay) -> list[str]:
     """The columnar snapshot mirrors the object overlay, field by field."""
     if overlay_kind == "chord":
         return _check_chord_snapshot(overlay)
+    if overlay_kind == "kademlia":
+        return _check_kademlia_snapshot(overlay)
     return _check_pastry_snapshot(overlay)
 
 
@@ -1161,14 +1199,22 @@ def check_engine_routing(
     :func:`check_routing_termination` via a trace adapter, plus a
     hops-vs-path consistency check the batch result makes possible.
     """
-    from repro.engine.columnar import snapshot_chord, snapshot_pastry
-    from repro.engine.router import batch_route_chord, batch_route_pastry
+    from repro.engine.columnar import snapshot_chord, snapshot_kademlia, snapshot_pastry
+    from repro.engine.router import (
+        batch_route_chord,
+        batch_route_kademlia,
+        batch_route_pastry,
+    )
 
     space = overlay.space
     alive = overlay.alive_ids()
     if overlay_kind == "chord":
         result = batch_route_chord(
             snapshot_chord(overlay), sources, keys, record_paths=True
+        )
+    elif overlay_kind == "kademlia":
+        result = batch_route_kademlia(
+            snapshot_kademlia(overlay), sources, keys, record_paths=True
         )
     else:
         result = batch_route_pastry(

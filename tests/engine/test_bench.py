@@ -26,7 +26,7 @@ class TestEngineMemory:
 class TestEngineEquivalence:
     def test_smoke_cells_are_identical_across_engines(self):
         section = engine_equivalence(smoke=True)
-        assert set(section["cells"]) == {"chord", "pastry"}
+        assert set(section["cells"]) == {"chord", "pastry", "kademlia"}
         for cell in section["cells"].values():
             assert cell["identical"]
             assert cell["objects_s"] > 0 and cell["columnar_s"] > 0

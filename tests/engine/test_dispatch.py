@@ -3,7 +3,6 @@
 import pytest
 
 from repro.engine.dispatch import (
-    COLUMNAR_AUTO_THRESHOLD,
     COLUMNAR_MAX_BITS,
     columnar_support,
     resolve_engine,
@@ -25,11 +24,13 @@ class TestResolveEngine:
         assert resolve_engine(config(engine="objects")) == "objects"
         assert resolve_engine(config(engine="objects"), telemetry_active=True) == "objects"
 
-    def test_auto_dispatches_on_size(self):
-        """The oracle-dispatch pattern: small cells stay on the
-        transparent path, large supported cells go vectorized."""
-        assert resolve_engine(config(n=COLUMNAR_AUTO_THRESHOLD - 1)) == "objects"
-        assert resolve_engine(config(n=COLUMNAR_AUTO_THRESHOLD)) == "columnar"
+    @pytest.mark.parametrize("overlay", ["chord", "pastry", "kademlia"])
+    @pytest.mark.parametrize("n", [2, 64, 511, 512, 4096])
+    def test_auto_goes_columnar_whenever_supported(self, overlay, n):
+        """No size threshold: every supported stable cell, Kademlia
+        included, routes columnar under ``auto``."""
+        assert columnar_support(config(overlay=overlay, n=n)) == (True, "")
+        assert resolve_engine(config(overlay=overlay, n=n)) == "columnar"
 
     def test_auto_falls_back_when_unsupported(self):
         assert resolve_engine(config(faults=FaultSchedule(loss_rate=0.1))) == "objects"

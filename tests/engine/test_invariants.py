@@ -14,7 +14,9 @@ pytest.importorskip("numpy")
 
 from repro.chord.ring import ChordRing
 from repro.engine import columnar, router
+from repro.kademlia.network import KademliaNetwork
 from repro.pastry.network import PastryNetwork
+from repro.util.ids import IdSpace
 from repro.verify.invariants import (
     REGISTRY,
     check_engine_coherence,
@@ -36,6 +38,7 @@ class TestGreenPath:
         for kind, overlay in (
             ("chord", ChordRing.build(40, seed=6)),
             ("pastry", PastryNetwork.build(40, seed=6)),
+            ("kademlia", KademliaNetwork.build(40, space=IdSpace(32), seed=6)),
         ):
             assert check_engine_coherence(kind, overlay) == []
             progress, termination = check_engine_routing(
@@ -43,8 +46,8 @@ class TestGreenPath:
             )
             assert progress == [] and termination == []
 
-    def test_registry_lists_engine_invariants_for_both_overlays(self):
-        for overlay in ("chord", "pastry"):
+    def test_registry_lists_engine_invariants_for_every_overlay(self):
+        for overlay in ("chord", "pastry", "kademlia"):
             names = invariants_for("engine", overlay)
             assert names == [
                 "engine.routing_progress",
@@ -94,6 +97,34 @@ class TestCoherenceFires:
         messages = check_engine_coherence("pastry", PastryNetwork.build(24, seed=1))
         assert messages and "leaf" in messages[0]
 
+    @pytest.mark.parametrize(
+        "corrupt, fragment",
+        [
+            # A core contact credited to the auxiliary class.
+            (lambda snapshot: snapshot.contact_class.__setitem__((0, 0), 1), "classes"),
+            # A pad pointing somewhere other than the owner.
+            (lambda snapshot: snapshot.contact_pos.__setitem__((0, -1), 1), "positions"),
+            # A dropped contact: the row no longer images core ∪ auxiliary.
+            (
+                lambda snapshot: snapshot.contacts.__setitem__((0, 0), snapshot.ids[0]),
+                "contact row",
+            ),
+        ],
+        ids=["classes", "positions", "contacts"],
+    )
+    def test_wrong_kademlia_row_is_caught(self, monkeypatch, corrupt, fragment):
+        real = columnar.snapshot_kademlia
+
+        def corrupted(network):
+            snapshot = real(network)
+            corrupt(snapshot)
+            return snapshot
+
+        monkeypatch.setattr(columnar, "snapshot_kademlia", corrupted)
+        network = KademliaNetwork.build(24, space=IdSpace(32), seed=1)
+        messages = check_engine_coherence("kademlia", network)
+        assert messages and fragment in messages[0]
+
 
 class TestRoutingFires:
     def test_inflated_hop_count_is_caught(self, monkeypatch):
@@ -125,4 +156,19 @@ class TestRoutingFires:
         __, termination = check_engine_routing(
             "pastry", overlay, *lookup_stream(overlay), clean=True
         )
+        assert any("lane 0" in message for message in termination)
+
+    def test_kademlia_wrong_destination_is_caught(self, monkeypatch):
+        real = router.batch_route_kademlia
+
+        def misdelivering(*args, **kwargs):
+            result = real(*args, **kwargs)
+            result.destinations[0] = int(result.paths[0, 0])  # the source
+            return result
+
+        monkeypatch.setattr(router, "batch_route_kademlia", misdelivering)
+        overlay = KademliaNetwork.build(24, space=IdSpace(32), seed=2)
+        sources, keys = lookup_stream(overlay)
+        keys[0] = next(node for node in overlay.alive_ids() if node != sources[0])
+        __, termination = check_engine_routing("kademlia", overlay, sources, keys)
         assert any("lane 0" in message for message in termination)
