@@ -20,12 +20,28 @@ from typing import Callable, Iterable
 
 from repro.chord.node import ChordNode
 from repro.chord.routing import LookupResult, route
-from repro.core.chord_selection import select_chord, select_chord_block, solver_blocks
-from repro.core.oblivious import select_chord_oblivious, select_uniform_random
+from repro.core.chord_selection import (
+    chord_instance,
+    select_chord,
+    select_chord_arrays,
+    solver_blocks,
+)
+from repro.core.cost import _MAX_VECTOR_BITS
+from repro.core.frequency import ExactFrequencyTable
+from repro.core.oblivious import (
+    select_chord_oblivious,
+    select_chord_oblivious_arrays,
+    select_uniform_random,
+)
 from repro.core.types import SelectionProblem, SelectionResult
 from repro.util.errors import ConfigurationError, NodeAbsentError
 from repro.util.ids import IdSpace
 from repro.util.validation import require_non_negative_int, require_positive_int
+
+try:
+    import numpy as np
+except ImportError:  # pragma: no cover - exercised only on stripped installs
+    np = None
 
 __all__ = [
     "AuxiliaryPolicy",
@@ -48,9 +64,16 @@ def optimal_policy(
     return select_chord(problem)
 
 
-#: Bulk form for :meth:`ChordRing.recompute_all_auxiliary`: the same
-#: results as calling the policy per problem, solved a block at a time.
-optimal_policy.select_many = select_chord_block
+def _optimal_many(insts, k: int, rng: random.Random, overlay: "ChordRing"):
+    return select_chord_arrays(insts, k)
+
+
+#: Bulk forms for :meth:`ChordRing.recompute_all_auxiliary`, called as
+#: ``select_many(instances, k, rng, overlay)`` on a block of nodes'
+#: :func:`~repro.core.chord_selection.chord_instance` arrays in
+#: ``alive_ids()`` order: the same results, and the same draws from
+#: ``rng``, as calling the policy per node.
+optimal_policy.select_many = _optimal_many
 
 
 def oblivious_policy(
@@ -60,6 +83,13 @@ def oblivious_policy(
     finger range, drawn from the live population when available."""
     pool = overlay.alive_ids() if overlay is not None else None
     return select_chord_oblivious(problem, rng, pool=pool)
+
+
+def _oblivious_many(insts, k: int, rng: random.Random, overlay: "ChordRing"):
+    return select_chord_oblivious_arrays(insts, k, rng, overlay.space, overlay.alive_ids())
+
+
+oblivious_policy.select_many = _oblivious_many
 
 
 def uniform_policy(
@@ -411,23 +441,61 @@ class ChordRing:
     ) -> None:
         """Recompute auxiliary sets at every live node.
 
-        A policy with a ``select_many`` bulk form (:func:`optimal_policy`)
-        is solved a block of nodes at a time, in ``alive_ids()`` order,
-        and installs exactly what the per-node calls would; the others,
-        and any policy while telemetry records per-node spans, run
-        :meth:`recompute_auxiliary` node by node.
+        A policy with a ``select_many`` bulk form (:func:`optimal_policy`,
+        :func:`oblivious_policy`) takes each node's inputs as arrays
+        (:meth:`_selection_arrays`), a block of nodes at a time, in
+        ``alive_ids()`` order, and installs exactly what the per-node calls
+        would, drawing the same numbers from ``rng``. The others, any
+        policy while telemetry records per-node spans, ids wider than 53
+        bits and installs without NumPy run :meth:`recompute_auxiliary`
+        node by node.
         """
         select_many = getattr(policy, "select_many", None)
-        if select_many is None or self._telemetry is not None:
+        if (
+            select_many is None
+            or self._telemetry is not None
+            or self.space.bits > _MAX_VECTOR_BITS
+            or np is None
+        ):
             for node_id in self.alive_ids():
                 self.recompute_auxiliary(node_id, k, policy, rng, frequency_limit)
             return
-        problems = (
-            self._selection_problem(node_id, k, frequency_limit) for node_id in self.alive_ids()
+        insts = (
+            self._selection_arrays(node_id, k, frequency_limit) for node_id in self.alive_ids()
         )
-        for block in solver_blocks(problems):
-            for problem, result in zip(block, select_many(block)):
-                self.nodes[problem.source].set_auxiliary(set(result.auxiliary))
+        for block in solver_blocks(insts):
+            for inst, result in zip(block, select_many(block, k, rng, self)):
+                self.nodes[inst.source].set_auxiliary(set(result.auxiliary))
+
+    def _selection_arrays(self, node_id: int, k: int, frequency_limit: int | None):
+        """:meth:`_selection_problem` as a gap-sorted array instance
+        (:func:`~repro.core.chord_selection.chord_instance`), built from
+        the tracker without a frequency dict: the top ``frequency_limit``
+        by one ``lexsort``, then the owner dropped — the snapshot
+        :meth:`ChordNode.frequency_snapshot` takes, in its order. The
+        same checks raise the same errors; a tracker the arrays cannot
+        mirror (non-int keys, NaN at the cut, not an exact table) takes
+        the problem's own snapshot."""
+        require_non_negative_int(k, "k")
+        node = self.nodes[node_id]
+        if not node.alive:
+            raise NodeAbsentError(f"cannot select auxiliaries at dead node {node_id}")
+        tracker = node.tracker
+        snapshot = (
+            tracker.snapshot_arrays(frequency_limit)
+            if isinstance(tracker, ExactFrequencyTable)
+            else None
+        )
+        if snapshot is None:
+            frequencies = self._selection_problem(node_id, k, frequency_limit).frequencies
+            peers = np.fromiter(frequencies, dtype=np.int64, count=len(frequencies))
+            weights = np.fromiter(frequencies.values(), dtype=np.float64, count=len(frequencies))
+        else:
+            peers, weights = snapshot
+            owner = peers == node_id
+            if owner.any():
+                peers, weights = peers[~owner], weights[~owner]
+        return chord_instance(self.space, node_id, peers, weights, node.core.union(node.successors))
 
     def _selection_problem(
         self, node_id: int, k: int, frequency_limit: int | None
@@ -477,15 +545,4 @@ class ChordRing:
     def seed_frequencies(self, node_id: int, frequencies: dict[int, float]) -> None:
         """Pre-load a node's tracker (used by stable-mode experiments that
         hand each node its long-run destination distribution directly)."""
-        node = self.nodes[node_id]
-        node.tracker = _tracker_from(frequencies, node_id)
-
-
-def _tracker_from(frequencies: dict[int, float], owner: int):
-    from repro.core.frequency import ExactFrequencyTable
-
-    tracker = ExactFrequencyTable()
-    for peer, weight in frequencies.items():
-        if peer != owner and weight > 0:
-            tracker.observe(peer, weight)
-    return tracker
+        self.nodes[node_id].tracker = ExactFrequencyTable.from_weights(frequencies, exclude=node_id)

@@ -79,6 +79,7 @@ import sys
 
 from repro.experiments.figures import FIGURES, FigurePreset, run_figure
 from repro.experiments.report import render_detail, render_markdown, render_table
+from repro.util.jsonfmt import write_json_atomic
 from repro.util.timer import Stopwatch
 
 __all__ = ["main", "build_parser"]
@@ -484,8 +485,7 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     if args.json:
         from repro.experiments.figures import result_to_json
 
-        with open(args.json, "w", encoding="utf-8") as handle:
-            handle.write(result_to_json(result, preset, wall_time_s=round(watch.elapsed, 3)))
+        write_json_atomic(args.json, result_to_json(result, preset, wall_time_s=round(watch.elapsed, 3)))
         print(f"\nfigure document written to {args.json}")
     print(f"\n[{preset.name} preset, {watch}]")
     return 0
@@ -577,8 +577,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     rows = sweep(base, args.parameter, [convert(value) for value in args.values], jobs=args.jobs)
     print(rows_to_csv(rows) if args.csv else rows_to_table(rows))
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            handle.write(rows_to_json(rows, base))
+        write_json_atomic(args.json, rows_to_json(rows, base))
         print(f"\nsweep document written to {args.json}")
     return 0
 
@@ -661,8 +660,7 @@ def _cmd_faults(args: argparse.Namespace) -> int:
     rows = robustness(preset, jobs=args.jobs)
     print(rows_to_table(rows))
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            handle.write(rows_to_json(rows, preset, wall_time_s=round(watch.elapsed, 3)))
+        write_json_atomic(args.json, rows_to_json(rows, preset, wall_time_s=round(watch.elapsed, 3)))
         print(f"\ngrid written to {args.json}")
     print(f"\n[{preset.name} preset, {watch}]")
     # The robustness claim this command guards: frequency-aware selection
@@ -704,10 +702,10 @@ def _cmd_workload(args: argparse.Namespace) -> int:
     print("item caching vs pointer caching per scenario (§II-C grid):")
     print(cache_rows_to_table(cache_rows))
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            handle.write(
-                rows_to_json(rows, cache_rows, preset, wall_time_s=round(watch.elapsed, 3))
-            )
+        write_json_atomic(
+            args.json,
+            rows_to_json(rows, cache_rows, preset, wall_time_s=round(watch.elapsed, 3)),
+        )
         print(f"\nworkload document written to {args.json}")
     print(f"\n[{preset.name} preset, {watch}]")
     # Gates: frequency-aware selection must win on the skewed stationary
@@ -742,8 +740,9 @@ def _cmd_allocate(args: argparse.Namespace) -> int:
     print("measured mean hops per scenario:")
     print(rows_to_table(rows))
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            handle.write(rows_to_json(plans, rows, preset, wall_time_s=round(watch.elapsed, 3)))
+        write_json_atomic(
+            args.json, rows_to_json(plans, rows, preset, wall_time_s=round(watch.elapsed, 3))
+        )
         print(f"\nallocation document written to {args.json}")
     print(f"\n[{preset.name} preset, {watch}]")
     # Gates: the allocated plan must strictly beat uniform on predicted
@@ -798,8 +797,7 @@ def _cmd_cachestats(args: argparse.Namespace) -> int:
             f"{churn['stale_uses']} stale uses in {churn['lookups']} lookups"
         )
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            handle.write(cells_to_json(cells, preset, wall_time_s=round(watch.elapsed, 3)))
+        write_json_atomic(args.json, cells_to_json(cells, preset, wall_time_s=round(watch.elapsed, 3)))
         print(f"\ncachestats document written to {args.json}")
     print(f"\n[{preset.name} preset, {watch}]")
     failures = gate_messages(cells)
@@ -811,8 +809,6 @@ def _cmd_cachestats(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    import json
-
     from repro.faults.schedule import FaultSchedule
     from repro.obs.driver import trace_cell
     from repro.sim.runner import ExperimentConfig
@@ -858,8 +854,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             print(_render_trace(trace))
     if args.json:
         document["manifest"]["volatile"]["wall_time_s"] = round(watch.elapsed, 3)
-        with open(args.json, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(document, sort_keys=True, indent=2) + "\n")
+        write_json_atomic(args.json, document)
         print(f"\ntrace document written to {args.json}")
     print(f"\n[{watch}]")
     return 0
@@ -899,8 +894,6 @@ def _render_trace(trace: dict) -> str:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    import json
-
     from repro.verify import check_scenarios, replay_failure
 
     watch = Stopwatch()
@@ -938,8 +931,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         print(f"  {name:<24} {evaluations:>8}")
     if args.json:
         document["manifest"]["volatile"]["wall_time_s"] = round(watch.elapsed, 3)
-        with open(args.json, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(document, sort_keys=True, indent=2) + "\n")
+        write_json_atomic(args.json, document)
         print(f"\ncheck document written to {args.json}")
     print(f"\n[{watch}]")
     if document["passed"]:
@@ -955,8 +947,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         )
     shrunk = [failure for failure in failures if failure.get("schema")]
     if shrunk and args.repro:
-        with open(args.repro, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(shrunk[0], sort_keys=True, indent=2) + "\n")
+        write_json_atomic(args.repro, shrunk[0])
         print(
             f"shrunk repro written to {args.repro} "
             f"(replay with: repro check --replay {args.repro})",
@@ -1016,8 +1007,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         write_metrics(document, args.json)
         print(f"\nmetrics document written to {args.json}")
     if args.openmetrics:
-        with open(args.openmetrics, "w", encoding="utf-8") as handle:
-            handle.write(to_openmetrics(document))
+        write_json_atomic(args.openmetrics, to_openmetrics(document))
         print(f"openmetrics exposition written to {args.openmetrics}")
     print(f"\n[{watch}]")
     return 0

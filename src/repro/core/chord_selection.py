@@ -42,8 +42,9 @@ for small blocks and for id spaces wider than 53 bits.
 :func:`select_chord_fast` is ``select_chord_many([problem])[0]``.
 
 :func:`select_chord` dispatches: QoS bounds or tiny instances use the DP,
-everything else the fast solver; :func:`select_chord_block` is its bulk
-form.
+everything else the fast solver; :func:`select_chord_arrays` is its bulk
+form on :func:`chord_instance` arrays, the inputs whole-ring recomputes
+build straight from the trackers (DESIGN.md §15).
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ from typing import Iterable, Iterator
 from repro.core.cost import _MAX_VECTOR_BITS, _bit_lengths
 from repro.core.types import SelectionProblem, SelectionResult
 from repro.util.errors import ConfigurationError, InfeasibleConstraintError
+from repro.util.ids import IdSpace
 
 try:
     import numpy as _np
@@ -62,8 +64,9 @@ except ImportError:  # pragma: no cover - exercised only on stripped installs
     _np = None
 
 __all__ = [
+    "chord_instance",
     "select_chord",
-    "select_chord_block",
+    "select_chord_arrays",
     "select_chord_dp",
     "select_chord_fast",
     "select_chord_many",
@@ -82,6 +85,14 @@ class _ChordInstance:
     ``core_gaps`` are the clockwise offsets of the core neighbors.
     ``candidate_flags[i]`` marks peers eligible to carry an auxiliary
     pointer. ``bounds[i]`` is the max allowed ``1 + d`` (or ``None``).
+
+    :func:`_normalize` fills the fields with lists; :func:`chord_instance`
+    (the array front end) with int64/float64/bool arrays, ``bounds`` left
+    ``None`` (no delay bounds) and ``order`` set: gap-sorted position
+    ``i`` holds the snapshot's entry ``order[i]``, so the frequencies in
+    snapshot order are ``ids``/``weights`` scattered back through it.
+    The scalar solvers take lists (:func:`_listed`), the stacked block
+    solver either.
     """
 
     bits: int
@@ -90,11 +101,84 @@ class _ChordInstance:
     ids: list[int]
     core_gaps: list[int]
     candidate_flags: list[bool]
-    bounds: list[int | None]
+    bounds: list[int | None] | None
+    source: int | None = None
+    order: object = None
 
     @property
     def n(self) -> int:
         return len(self.gaps)
+
+
+def chord_instance(space: IdSpace, source: int, peers, weights, core) -> _ChordInstance:
+    """The array front end: one node's eq.-1 inputs as a gap-sorted
+    instance, without a :class:`SelectionProblem` or a frequency dict.
+
+    ``peers``/``weights`` are the frequency snapshot as int64/float64
+    arrays in snapshot order, ``core`` the core neighbor ids (any
+    iterable of ints). Every check :class:`SelectionProblem` makes on
+    this data is made here, vectorised, raising the same exception
+    types (and messages) in the same order: finite non-negative weights
+    (the first offender in snapshot order is named), peer ids inside the
+    space, source neither among the peers nor among the core neighbors,
+    core ids inside the space. The fields then equal those of
+    :func:`_normalize` on the problem, as arrays. Ids must be below
+    ``2**53`` (:data:`~repro.core.cost._MAX_VECTOR_BITS`)."""
+    space.validate(source, "source id")
+    bad = ~((weights >= 0) & (weights != _INF))
+    if bad.any():
+        first = int(bad.argmax())
+        raise ConfigurationError(
+            f"frequencies[{int(peers[first])}] must be a finite non-negative number, "
+            f"got {weights[first].item()!r}"
+        )
+    size = space.size
+    outside = (peers < 0) | (peers >= size)
+    if outside.any():
+        space.validate(int(peers[outside.argmax()]), "peer id")
+    if (peers == source).any():
+        raise ConfigurationError("frequencies must not include the source node itself")
+    core = _np.fromiter(core, dtype=_np.int64)
+    outside = (core < 0) | (core >= size)
+    if outside.any():
+        space.validate(int(core[outside.argmax()]), "core neighbor id")
+    if (core == source).any():
+        raise ConfigurationError("core_neighbors must not include the source node itself")
+    mask = _np.int64(space.mask)
+    gaps = (peers - source) & mask
+    order = _np.argsort(gaps, kind="stable")
+    gaps = gaps[order]
+    core_gaps = _np.sort((core - source) & mask)
+    slot = _np.minimum(_np.searchsorted(core_gaps, gaps), max(core_gaps.size - 1, 0))
+    flags = core_gaps[slot] != gaps if core_gaps.size else _np.ones(gaps.size, dtype=bool)
+    return _ChordInstance(
+        bits=space.bits,
+        gaps=gaps,
+        weights=weights[order],
+        ids=peers[order],
+        core_gaps=core_gaps,
+        candidate_flags=flags,
+        bounds=None,
+        source=source,
+        order=order,
+    )
+
+
+def _listed(inst: _ChordInstance) -> _ChordInstance:
+    """``inst`` with list fields, as the scalar solvers take it (converted
+    once, with ``tolist``)."""
+    if isinstance(inst.gaps, list):
+        return inst
+    return _ChordInstance(
+        bits=inst.bits,
+        gaps=inst.gaps.tolist(),
+        weights=inst.weights.tolist(),
+        ids=inst.ids.tolist(),
+        core_gaps=inst.core_gaps.tolist(),
+        candidate_flags=inst.candidate_flags.tolist(),
+        bounds=[None] * inst.n,
+        source=inst.source,
+    )
 
 
 def _normalize(problem: SelectionProblem) -> _ChordInstance:
@@ -120,6 +204,7 @@ def _normalize(problem: SelectionProblem) -> _ChordInstance:
         core_gaps=core_gaps,
         candidate_flags=candidate_flags,
         bounds=bounds,
+        source=source,
     )
 
 
@@ -218,9 +303,13 @@ def _reconstruct(parents: list[list[int]], layers: int, n: int) -> list[int]:
     return chosen
 
 
-def _result(problem: SelectionProblem, inst: _ChordInstance, chosen_positions: list[int], cost_without_plus_one: float, algorithm: str) -> SelectionResult:
-    total_weight = sum(inst.weights)
-    auxiliary = frozenset(inst.ids[pos] for pos in chosen_positions)
+def _result(inst: _ChordInstance, chosen_positions: list[int], cost_without_plus_one: float, algorithm: str) -> SelectionResult:
+    ids, weights = inst.ids, inst.weights
+    if not isinstance(ids, list):
+        # Python ints and floats: the sum must be the list sum, bit for bit.
+        ids, weights = ids.tolist(), weights.tolist()
+    total_weight = sum(weights)
+    auxiliary = frozenset(ids[pos] for pos in chosen_positions)
     return SelectionResult(auxiliary, cost_without_plus_one + total_weight, algorithm)
 
 
@@ -232,10 +321,16 @@ def select_chord_dp(problem: SelectionProblem) -> SelectionResult:
     of ``k`` pointers satisfies them.
     """
     inst = _normalize(problem)
+    return _result(inst, *_solve_dp(inst, problem.k), "chord-dp")
+
+
+def _solve_dp(inst: _ChordInstance, k: int) -> tuple[list[int], float]:
+    """The quadratic DP on a list instance: (chosen 0-based positions,
+    ``C_k(n)``)."""
     n = inst.n
     span_tables = [_span_cost_table(inst, j) for j in range(n)]
     current = _base_costs(inst)
-    k_eff = min(problem.k, sum(inst.candidate_flags))
+    k_eff = min(k, sum(inst.candidate_flags))
     parents: list[list[int]] = [[0] * (n + 1)]
     for _layer in range(k_eff):
         previous = current
@@ -256,10 +351,9 @@ def select_chord_dp(problem: SelectionProblem) -> SelectionResult:
         parents.append(parent_row)
     if current[n] == _INF:
         raise InfeasibleConstraintError(
-            f"QoS delay bounds cannot be met with k={problem.k} auxiliary pointers"
+            f"QoS delay bounds cannot be met with k={k} auxiliary pointers"
         )
-    chosen = _reconstruct(parents, k_eff, n)
-    return _result(problem, inst, chosen, current[n], "chord-dp")
+    return _reconstruct(parents, k_eff, n), current[n]
 
 
 def _anchor_tables(gaps, freq_prefix, anchors, bits: int):
@@ -490,78 +584,136 @@ class _StackedBlock:
     """
 
     def __init__(self, insts: list[_ChordInstance], ks: list[int]) -> None:
+        # Built for the whole block at once; only the anchor searchsorted
+        # runs per instance (searching one instance's few hundred gaps is
+        # cheaper than one search over the whole block's). Every value is
+        # computed with the same operations, in the same order, as the
+        # per-instance _SpanOracle tables: prefix sums run along rows of
+        # zero-padded (instance x peer) matrices, and a cumulative sum
+        # along a row is the sequential sum of that row.
         self.insts = insts
-        self.pos_base = _offsets([inst.n + 1 for inst in insts])
-        core_base = _offsets([len(inst.core_gaps) for inst in insts])
+        count = len(insts)
+        n = _np.fromiter((inst.n for inst in insts), dtype=_np.int64, count=count)
+        c = _np.fromiter((len(inst.core_gaps) for inst in insts), dtype=_np.int64, count=count)
+        bits = _np.fromiter((inst.bits for inst in insts), dtype=_np.int64, count=count)
+        self.pos_base = _offsets(n + 1)
+        peer_base = _offsets(n)
+        core_base = _offsets(c)
+        owner = _np.repeat(_np.arange(count), n)
+        core_owner = _np.repeat(_np.arange(count), c)
+        gaps = _concat([inst.gaps for inst in insts], _np.int64)
+        weights = _concat([inst.weights for inst in insts], _np.float64)
+        cores = _concat([inst.core_gaps for inst in insts], _np.int64)
+        flags = _concat([inst.candidate_flags for inst in insts], bool)
+        local = _np.arange(gaps.size) - peer_base[owner]
+        slots = self.pos_base[owner] + 1 + local
         positions = int(self.pos_base[-1])
-        cores_total = int(core_base[-1])
+        self.freq = _row_prefix(weights, owner, local + 1, count, int(n.max(initial=0)) + 1)[
+            _np.repeat(_np.arange(count), n + 1),
+            _np.arange(positions) - _np.repeat(self.pos_base[:-1], n + 1),
+        ]
+        # Peers and cores merged by gap within each instance, cores first
+        # on ties: an instance's gaps and core gaps are ascending, so the
+        # peers (and the cores) keep their order, and the merge gives each
+        # peer its rank among the cores, each core the peers before it,
+        # and both their row among the distinct gaps, the anchors.
+        values = _np.concatenate((gaps, cores))
+        whose = _np.concatenate((owner, core_owner))
+        peer = _np.concatenate((_np.ones(gaps.size, dtype=bool), _np.zeros(cores.size, dtype=bool)))
+        merged = _np.lexsort((peer, values, whose))
+        values, whose, peer = values[merged], whose[merged], peer[merged]
+        fresh = _np.ones(merged.size, dtype=bool)
+        fresh[1:] = (values[1:] != values[:-1]) | (whose[1:] != whose[:-1])
+        row = _np.cumsum(fresh) - 1
+        anchors, anchor_owner = values[fresh], whose[fresh]
+        rank = _np.cumsum(~peer)[peer]
+        peers_before = (_np.cumsum(peer) - peer)[~peer]
+        # The eq.-9 anchor rows, compressed as they are built: radius r
+        # reaches gap anchor + 2**r - 1, so the first radius that reaches
+        # a peer radius 0 does not is the bit length of the distance to
+        # the anchor's next peer (none: the row never grows). A row keeps
+        # radius 0 and the radii from there up to the widest id space.
+        ends = _np.append(_np.flatnonzero(fresh)[1:], fresh.size) - 1
+        upto = _np.cumsum(peer)[ends]
+        follows = upto < peer_base[anchor_owner + 1]
+        width = int(bits.max(initial=0)) + 1
+        skip = _np.where(
+            follows, _bit_lengths(gaps[_np.minimum(upto, gaps.size - 1)] - anchors), width
+        )
+        sizes = width + 1 - skip
+        start = _offsets(sizes)
+        cell_row = _np.repeat(_np.arange(anchors.size), sizes)
+        radius = _np.arange(int(start[-1])) - start[:-1][cell_row] + skip[cell_row] - 1
+        radius[start[:-1]] = 0
+        limits = anchors[cell_row] + ((_np.int64(1) << radius) - 1)
+        self.reach = reach = _np.empty(limits.size, dtype=_np.int32)
+        cell_base = start[_offsets(_np.bincount(anchor_owner, minlength=count))].tolist()
+        peer_bounds = peer_base.tolist()
+        slot_base = self.pos_base.tolist()
+        for i in range(count):
+            found = _np.searchsorted(
+                gaps[peer_bounds[i] : peer_bounds[i + 1]],
+                limits[cell_base[i] : cell_base[i + 1]],
+                side="right",
+            )
+            reach[cell_base[i] : cell_base[i + 1]] = found + slot_base[i]
+        # hops: the prefix sums of r * (F(p(r)) - F(p(r - 1))) along each
+        # row, radius 0 to the widest, the dropped radii adding 0.0.
+        grown = _np.flatnonzero(radius)
+        shells = self.freq[reach[grown]] - self.freq[reach[grown - 1]]
+        cells = cell_row * width + radius
+        matrix = _np.zeros(anchors.size * width, dtype=_np.float64)
+        matrix[cells[grown]] = radius[grown] * shells
+        self.hops = _np.cumsum(matrix.reshape(anchors.size, width), axis=1).ravel()[cells]
+        del matrix, limits, shells, cells
+        start = start[:-1]
+        # Position layout.
         self.gap = _np.zeros(positions, dtype=_np.int64)
         self.rank = _np.zeros(positions, dtype=_np.int32)
         self.start = _np.zeros(positions, dtype=_np.int32)
         self.skip = _np.zeros(positions, dtype=_np.int32)
-        self.freq = _np.zeros(positions, dtype=_np.float64)
-        self.base = _np.zeros(positions, dtype=_np.float64)
         self.upper = _np.zeros(positions, dtype=_np.int32)
-        self.core_gap = _np.zeros(cores_total, dtype=_np.int64)
-        self.core_start = _np.zeros(cores_total, dtype=_np.int32)
-        self.core_skip = _np.zeros(cores_total, dtype=_np.int32)
-        self.core_upper = _np.zeros(cores_total, dtype=_np.int32)
-        self.segment = _np.zeros(cores_total, dtype=_np.float64)
-        self.cand_base = _np.zeros(len(insts), dtype=_np.int64)
-        self.k_eff = []
-        reach_parts, hops_parts, cand_parts = [], [], []
-        cells = candidates = 0
-        for i, inst in enumerate(insts):
-            p0, q0 = int(self.pos_base[i]), int(core_base[i])
-            p1, q1 = p0 + inst.n + 1, q0 + len(inst.core_gaps)
-            gaps = _np.asarray(inst.gaps, dtype=_np.int64)
-            cores = _np.asarray(inst.core_gaps, dtype=_np.int64)
-            weights = _np.asarray(inst.weights, dtype=_np.float64)
-            anchors = _np.union1d(gaps, cores)
-            # Same additions, in the same order, as _SpanOracle's Python
-            # prefix loop (0.0 + w0, then + w1, ...).
-            freq = _np.cumsum(_np.concatenate(([0.0], weights)))
-            reach, hops = _anchor_tables(gaps, freq, anchors, inst.bits)
-            start, skip, reach, hops = _drop_repeated_radii(reach, hops)
-            start += cells
-            cells += reach.size
-            reach_parts.append((reach + p0).astype(_np.int32))
-            hops_parts.append(hops)
-            peer_row = _np.searchsorted(anchors, gaps)
-            core_row = _np.searchsorted(anchors, cores)
-            self.gap[p0 + 1 : p1] = gaps
-            self.rank[p0 + 1 : p1] = _np.searchsorted(cores, gaps, side="right") + q0
-            self.start[p0 + 1 : p1] = start[peer_row]
-            self.skip[p0 + 1 : p1] = skip[peer_row]
-            self.freq[p0:p1] = freq
-            self.base[p0:p1] = _base_cost_array(gaps, weights, cores, inst.bits)
-            flags = _np.asarray(inst.candidate_flags, dtype=_np.int64)
-            self.upper[p0] = candidates - 1
-            self.upper[p0 + 1 : p1] = _np.cumsum(flags) + (candidates - 1)
-            local = _np.flatnonzero(flags)
-            cand_parts.append(local + (p0 + 1))
-            self.cand_base[i] = candidates
-            candidates += local.size
-            self.k_eff.append(min(ks[i], local.size))
-            self.core_gap[q0:q1] = cores
-            self.core_start[q0:q1] = start[core_row]
-            self.core_skip[q0:q1] = skip[core_row]
-            self.core_upper[q0:q1] = _np.searchsorted(gaps, cores - 1, side="right") + p0
-        self.reach = _np.concatenate(reach_parts) if reach_parts else _np.zeros(0, _np.int32)
-        self.hops = _np.concatenate(hops_parts) if hops_parts else _np.zeros(0)
-        self.cand_pos = (
-            _np.concatenate(cand_parts).astype(_np.int32) if cand_parts else _np.zeros(0, _np.int32)
-        )
-        del reach_parts, hops_parts, cand_parts
+        peer_row = row[peer]
+        self.gap[slots] = gaps
+        self.rank[slots] = rank
+        self.start[slots] = start[peer_row]
+        self.skip[slots] = skip[peer_row]
+        # C_0: each peer served by the last core at or before it (eq. 8).
+        if cores.size:
+            preceding = cores[_np.maximum(rank - 1, 0)]
+            distances = _np.where(
+                rank > core_base[owner], _bit_lengths(gaps - preceding), bits[owner]
+            )
+        else:
+            distances = bits[owner]
+        self.base = _np.zeros(positions, dtype=_np.float64)
+        self.base[slots] = _row_prefix(
+            weights * distances, owner, local, count, int(n.max(initial=0))
+        )[owner, local]
+        # Candidates.
+        taken = _np.cumsum(flags)
+        per_instance = _np.bincount(owner[flags], minlength=count)
+        cand_bounds = _offsets(per_instance)
+        self.upper[self.pos_base[:-1]] = cand_bounds[:-1] - 1
+        self.upper[slots] = taken - 1
+        self.cand_pos = slots[flags].astype(_np.int32)
+        self.cand_base = cand_bounds[:-1]
+        self.k_eff = _np.minimum(_np.asarray(ks, dtype=_np.int64), per_instance).tolist()
+        # Cores.
+        core_row = row[~peer]
+        self.core_gap = cores
+        self.core_start = start[core_row].astype(_np.int32)
+        self.core_skip = skip[core_row].astype(_np.int32)
+        self.core_upper = (
+            peers_before - peer_base[core_owner] + self.pos_base[core_owner]
+        ).astype(_np.int32)
+        self.segment = _np.zeros(cores.size, dtype=_np.float64)
         # Complete core-to-core segment costs (eq. 10): core t to t + 1 of
         # the same instance, accumulated per instance in order.
-        if cores_total > 1:
-            first = _np.arange(cores_total - 1)
-            same = _np.searchsorted(core_base, first, side="right") == _np.searchsorted(
-                core_base, first + 1, side="right"
-            )
-            t = first[same]
-            costs = _np.zeros(cores_total, dtype=_np.float64)
+        if cores.size > 1:
+            first = _np.arange(cores.size - 1)
+            t = first[core_owner[first] == core_owner[first + 1]]
+            costs = _np.zeros(cores.size, dtype=_np.float64)
             costs[t + 1] = self._span(
                 self.core_start[t],
                 self.core_skip[t],
@@ -569,10 +721,10 @@ class _StackedBlock:
                 self.core_gap[t + 1] - 1,
                 self.core_upper[t + 1],
             )
-            for i in range(len(insts)):
-                q0, q1 = int(core_base[i]), int(core_base[i + 1])
-                if q1 > q0:
-                    _np.cumsum(costs[q0:q1], out=self.segment[q0:q1])
+            core_local = _np.arange(cores.size) - core_base[core_owner]
+            self.segment = _row_prefix(costs, core_owner, core_local, count, int(c.max()))[
+                core_owner, core_local
+            ]
 
     def _span(self, start, skip, anchor, limit, upper):
         """Vectorised :meth:`_SpanOracle._corefree_span`: the cost of the
@@ -698,25 +850,28 @@ class _StackedBlock:
             )
 
 
-def _drop_repeated_radii(reach, hops):
-    """Compress anchor tables row by row (see :class:`_StackedBlock`):
-    ``(start, skip, reach cells, hops cells)`` with row starts relative to
-    the first cell."""
-    width = reach.shape[1]
-    grows = reach[:, 1:] > reach[:, :1]
-    skip = _np.where(grows.any(axis=1), grows.argmax(axis=1) + 1, width)
-    keep = _np.arange(width)[None, :] >= skip[:, None]
-    keep[:, 0] = True
-    sizes = keep.sum(axis=1)
-    start = _np.cumsum(sizes) - sizes
-    return start, skip, reach[keep], hops[keep]
-
-
-def _offsets(sizes: list[int]):
+def _offsets(sizes):
     """Exclusive prefix sums with the total appended: CSR offsets."""
     offsets = _np.zeros(len(sizes) + 1, dtype=_np.int64)
     _np.cumsum(sizes, out=offsets[1:])
     return offsets
+
+
+def _concat(parts, dtype):
+    """One flat array of ``parts`` (arrays or lists)."""
+    if not parts:
+        return _np.zeros(0, dtype=dtype)
+    return _np.concatenate([_np.asarray(part, dtype=dtype) for part in parts])
+
+
+def _row_prefix(values, rows, columns, height: int, width: int):
+    """Cumulative sums of ``values`` along the rows of a zero-padded
+    ``height x width`` matrix (``values[i]`` at ``rows[i], columns[i]``):
+    each row's prefix sums are those of its own entries alone, added in
+    column order."""
+    matrix = _np.zeros((height, width), dtype=_np.float64)
+    matrix[rows, columns] = values
+    return _np.cumsum(matrix, axis=1)
 
 
 def select_chord_many(problems: Iterable[SelectionProblem]) -> list[SelectionResult]:
@@ -734,18 +889,23 @@ def select_chord_many(problems: Iterable[SelectionProblem]) -> list[SelectionRes
     if any(problem.delay_bounds for problem in problems):
         raise ConfigurationError("fast solver does not support delay bounds; use select_chord_dp")
     insts = [_normalize(problem) for problem in problems]
+    solved = _solve_fast(insts, [problem.k for problem in problems])
+    return [_result(inst, *pair, "chord-fast") for inst, pair in zip(insts, solved)]
+
+
+def _solve_fast(insts: list[_ChordInstance], ks: list[int]) -> list[tuple[list[int], float]]:
+    """The fast algorithm on each instance: the vectorizable ones stacked
+    into one :class:`_StackedBlock` when together they hold at least
+    ``_STACK_MIN_PEERS`` peers, the rest by the recursive solver."""
     stacked = [index for index, inst in enumerate(insts) if _vectorizable(inst)]
     solved: dict[int, tuple[list[int], float]] = {}
-    if sum(insts[index].n for index in stacked) >= _STACK_MIN_PEERS:
-        block = _StackedBlock(
-            [insts[index] for index in stacked], [problems[index].k for index in stacked]
-        )
+    if stacked and sum(insts[index].n for index in stacked) >= _STACK_MIN_PEERS:
+        block = _StackedBlock([insts[index] for index in stacked], [ks[index] for index in stacked])
         solved = dict(zip(stacked, block.solve()))
-    results = []
-    for index, (problem, inst) in enumerate(zip(problems, insts)):
-        chosen, cost = solved[index] if index in solved else _solve_recursive(inst, problem.k)
-        results.append(_result(problem, inst, chosen, cost, "chord-fast"))
-    return results
+    return [
+        solved[index] if index in solved else _solve_recursive(_listed(inst), ks[index])
+        for index, inst in enumerate(insts)
+    ]
 
 
 def select_chord_fast(problem: SelectionProblem) -> SelectionResult:
@@ -757,26 +917,30 @@ def select_chord_fast(problem: SelectionProblem) -> SelectionResult:
     return select_chord_many([problem])[0]
 
 
-def solver_blocks(problems: Iterable[SelectionProblem]) -> Iterator[list[SelectionProblem]]:
-    """Group ``problems`` lazily, in order, into blocks of at most
-    :data:`BLOCK_CELLS` stacked anchor cells (a single larger problem is a
-    block of its own), so a caller never holds more than one block of
-    problems at a time."""
-    block: list[SelectionProblem] = []
+def solver_blocks(insts: Iterable[_ChordInstance]) -> Iterator[list[_ChordInstance]]:
+    """Group :func:`chord_instance` instances lazily, in order, into blocks
+    of at most :data:`BLOCK_CELLS` stacked anchor cells (a single larger
+    instance is a block of its own), so a caller never holds more than one
+    block at a time."""
+    block: list[_ChordInstance] = []
     cells = 0
-    for problem in problems:
-        size = (len(problem.frequencies) + len(problem.core_neighbors)) * (problem.space.bits + 1)
+    for inst in insts:
+        size = (inst.n + len(inst.core_gaps)) * (inst.bits + 1)
         if block and cells + size > BLOCK_CELLS:
             yield block
             block, cells = [], 0
-        block.append(problem)
+        block.append(inst)
         cells += size
     if block:
         yield block
 
 
+#: Peer count up to which :func:`select_chord` uses the quadratic DP.
+_DP_MAX_PEERS = 32
+
+
 def _prefers_dp(problem: SelectionProblem) -> bool:
-    return bool(problem.delay_bounds) or len(problem.frequencies) <= 32
+    return bool(problem.delay_bounds) or len(problem.frequencies) <= _DP_MAX_PEERS
 
 
 def select_chord(problem: SelectionProblem) -> SelectionResult:
@@ -788,11 +952,20 @@ def select_chord(problem: SelectionProblem) -> SelectionResult:
     return select_chord_fast(problem)
 
 
-def select_chord_block(problems: Iterable[SelectionProblem]) -> list[SelectionResult]:
-    """:func:`select_chord` on every problem of a block, the fast-solver
-    ones solved together by :func:`select_chord_many`."""
-    problems = list(problems)
-    fast = iter(select_chord_many(problem for problem in problems if not _prefers_dp(problem)))
-    return [
-        select_chord_dp(problem) if _prefers_dp(problem) else next(fast) for problem in problems
-    ]
+def select_chord_arrays(insts: list[_ChordInstance], k: int) -> list[SelectionResult]:
+    """:func:`select_chord` on every node of a block of
+    :func:`chord_instance` instances, all at budget ``k``: instances of at
+    most 32 peers go to the DP (on lists), as :func:`select_chord` routes
+    them, the others to the fast solver, stacked together. Result for
+    result identical to :func:`select_chord` on each node's
+    :class:`SelectionProblem`."""
+    fast = [inst for inst in insts if inst.n > _DP_MAX_PEERS]
+    solved = iter(_solve_fast(fast, [k] * len(fast)))
+    results = []
+    for inst in insts:
+        if inst.n <= _DP_MAX_PEERS:
+            inst = _listed(inst)
+            results.append(_result(inst, *_solve_dp(inst, k), "chord-dp"))
+        else:
+            results.append(_result(inst, *next(solved), "chord-fast"))
+    return results

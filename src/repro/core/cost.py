@@ -51,6 +51,7 @@ __all__ = [
     "pastry_cost_scalar",
     "pastry_cost_vectorized",
     "chord_cost",
+    "chord_cost_arrays",
     "chord_cost_scalar",
     "chord_cost_vectorized",
     "chord_sorted_offsets",
@@ -239,18 +240,29 @@ def chord_cost_vectorized(
     ``searchsorted`` over the sorted offsets; hop distances from the
     ``frexp``-exponent bit-length trick.
     """
-    mask = _np.int64(space.mask)
     if sorted_offsets is None:
         pointers = _np.array(list(core_neighbors) + list(auxiliary), dtype=_np.int64)
-        offsets = _np.unique((pointers - source) & mask)
-        if offsets.size and offsets[0] == 0:  # the source itself is not a pointer
-            offsets = offsets[1:]
+        offsets = _pointer_offsets(space, source, pointers)
     else:
         offsets = _np.asarray(sorted_offsets, dtype=_np.int64)
     count = len(frequencies)
     peers = _np.fromiter(frequencies.keys(), dtype=_np.int64, count=count)
     weights = _np.fromiter(frequencies.values(), dtype=_np.float64, count=count)
-    gaps = (peers - source) & mask
+    return _chord_cost_kernel(space, source, peers, weights, offsets)
+
+
+def _pointer_offsets(space: IdSpace, source: int, pointers):
+    """Sorted distinct clockwise offsets of a pointer id array, the source
+    itself left out."""
+    offsets = _np.unique((pointers - source) & _np.int64(space.mask))
+    if offsets.size and offsets[0] == 0:  # the source itself is not a pointer
+        offsets = offsets[1:]
+    return offsets
+
+
+def _chord_cost_kernel(space: IdSpace, source: int, peers, weights, offsets) -> float:
+    """Eq. 1 over peer/weight arrays, summed in their order."""
+    gaps = (peers - source) & _np.int64(space.mask)
     if offsets.size == 0:
         return float(weights.sum() * (1 + space.bits))
     index = _np.searchsorted(offsets, gaps, side="right")
@@ -281,6 +293,20 @@ def chord_cost(
     return chord_cost_scalar(
         space, source, frequencies, core_neighbors, auxiliary, sorted_offsets=sorted_offsets
     )
+
+
+def chord_cost_arrays(space: IdSpace, source: int, peers, weights, pointers) -> float:
+    """:func:`chord_cost` with the frequencies given as int64 peer and
+    float64 weight arrays in the mapping's order, and the core and
+    auxiliary pointers as one int64 id array: the same dispatch, the same
+    operations in the same order, hence the same bits. Needs NumPy and
+    ids below ``2**53``."""
+    if _vectorizable(space, len(peers)):
+        return _chord_cost_kernel(
+            space, source, peers, weights, _pointer_offsets(space, source, pointers)
+        )
+    frequencies = dict(zip(peers.tolist(), weights.tolist()))
+    return chord_cost_scalar(space, source, frequencies, pointers.tolist(), ())
 
 
 # ----------------------------------------------------------------------

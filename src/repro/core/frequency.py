@@ -26,10 +26,15 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter, deque
-from typing import Iterable, Protocol
+from typing import Iterable, Mapping, Protocol
 
 from repro.util.errors import ConfigurationError
 from repro.util.validation import require_positive_int
+
+try:
+    import numpy as _np
+except ImportError:  # pragma: no cover - exercised only on stripped installs
+    _np = None
 
 __all__ = [
     "FrequencyTracker",
@@ -82,6 +87,30 @@ class ExactFrequencyTable:
         self._history: deque[tuple[int, float]] = deque()
         self._total = 0.0
 
+    @classmethod
+    def from_weights(
+        cls, weights: Mapping[int, float], exclude: int | None = None
+    ) -> "ExactFrequencyTable":
+        """An unwindowed table holding ``weights`` as if each positive
+        weight had been observed once, in mapping order, skipping the
+        peer ``exclude`` (the owner) and weights that are not positive.
+
+        The counts, their order and the running total are exactly those
+        of the ``observe`` loop: the total is added up left to right, as
+        ``observe`` does, not with ``sum()`` (compensated on floats from
+        Python 3.12 on). Each count is the weight object itself (``0 +
+        weight`` equals it), so tables seeded from one shared mapping
+        share its floats."""
+        table = cls()
+        table._counts = Counter(
+            {peer: weight for peer, weight in weights.items() if peer != exclude and weight > 0}
+        )
+        total = 0.0
+        for weight in table._counts.values():
+            total += weight
+        table._total = total
+        return table
+
     def observe(self, peer: int, weight: float = 1.0) -> None:
         if weight < 0:
             raise ConfigurationError(f"weight must be non-negative, got {weight!r}")
@@ -119,6 +148,32 @@ class ExactFrequencyTable:
 
     def snapshot(self, limit: int | None = None) -> dict[int, float]:
         return _top_items({peer: float(count) for peer, count in self._counts.items()}, limit)
+
+    def snapshot_arrays(self, limit: int | None = None):
+        """:meth:`snapshot` as int64 peer and float64 weight arrays, in the
+        snapshot's order: insertion order, or, when ``limit`` cuts, the top
+        ``limit`` by descending weight then ascending id (one ``lexsort``,
+        the order ``heapq.nlargest`` returns).
+
+        ``None`` when the arrays could not reproduce the snapshot: a key
+        that is not a plain ``int`` or does not fit int64, or a NaN weight
+        at a cut (NaN has no place in either order), or no NumPy. Callers
+        then fall back to :meth:`snapshot`."""
+        counts = self._counts
+        size = len(counts)
+        if _np is None or size and set(map(type, counts)) != {int}:
+            return None
+        try:
+            peers = _np.fromiter(counts, dtype=_np.int64, count=size)
+        except OverflowError:
+            return None
+        weights = _np.fromiter(counts.values(), dtype=_np.float64, count=size)
+        if limit is not None and size > limit:
+            if _np.isnan(weights).any():
+                return None
+            top = _np.lexsort((peers, -weights))[: max(limit, 0)]
+            peers, weights = peers[top], weights[top]
+        return peers, weights
 
     def __len__(self) -> int:
         return len(self._counts)

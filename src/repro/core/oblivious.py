@@ -25,11 +25,13 @@ import random
 from collections import defaultdict
 from typing import Iterable, Sequence
 
-from repro.core.cost import chord_cost, pastry_cost
+from repro.core.cost import _bit_lengths, _np, chord_cost, chord_cost_arrays, pastry_cost
 from repro.core.types import SelectionProblem, SelectionResult
+from repro.util.ids import IdSpace
 
 __all__ = [
     "select_chord_oblivious",
+    "select_chord_oblivious_arrays",
     "select_kademlia_oblivious",
     "select_pastry_oblivious",
     "select_uniform_random",
@@ -107,6 +109,66 @@ def select_chord_oblivious(
     _fill_remaining(chosen, candidates, problem.k, rng)
     cost = chord_cost(space, source, problem.frequencies, problem.core_neighbors, chosen)
     return SelectionResult(frozenset(chosen), cost, "chord-oblivious")
+
+
+def select_chord_oblivious_arrays(
+    insts, k: int, rng: random.Random, space: IdSpace, pool: Sequence[int]
+) -> list[SelectionResult]:
+    """:func:`select_chord_oblivious` at every node of a block of
+    :func:`~repro.core.chord_selection.chord_instance` instances, in
+    order, all at budget ``k`` and drawing from the live ids ``pool``.
+
+    Draw for draw the per-node baseline: each node's candidates are the
+    sorted pool minus its core and itself; they are bucketed by finger
+    range ``floor(log2 gap)`` and ordered far to near by a stable argsort
+    (each bucket keeps id order, as the per-node lists do); every
+    ``rng.sample`` call is made on ``range(len(bucket))`` with the same
+    population size and count, so it consumes the same numbers and picks
+    the same positions. Quotas and the top-up are the per-node ones. The
+    cost is :func:`chord_cost` on the node's frequency snapshot in
+    snapshot order (the instance's ``order``), so its bits match too."""
+    alive = _np.unique(_np.asarray(pool, dtype=_np.int64))
+    mask = _np.int64(space.mask)
+    results = []
+    for inst in insts:
+        source = inst.source
+        core = (inst.core_gaps + source) & mask
+        drop = _np.append(core, source)
+        slot = _np.searchsorted(alive, drop)
+        hit = slot < alive.size
+        hit[hit] = alive[slot[hit]] == drop[hit]
+        keep = _np.ones(alive.size, dtype=bool)
+        keep[slot[hit]] = False
+        candidates = alive[keep]
+        gaps = (candidates - source) & mask
+        ranges = _bit_lengths(gaps) - 1  # floor(log2 gap): the finger range
+        ranked = _np.argsort(-ranges, kind="stable")
+        ranges = ranges[ranked]
+        starts = _np.flatnonzero(_np.diff(ranges, prepend=ranges[:1] + 1))
+        sizes = _np.diff(starts, append=ranges.size)
+        chosen = _np.zeros(candidates.size, dtype=bool)
+        taken = 0
+        for quota, start, size in zip(
+            _class_quotas(k, starts.size), starts.tolist(), sizes.tolist()
+        ):
+            if taken >= k:
+                break
+            take = min(quota, size, k - taken)
+            chosen[ranked[start + _np.asarray(rng.sample(range(size), take), dtype=_np.int64)]] = True
+            taken += take
+        # _fill_remaining: the unused candidates, ascending.
+        leftovers = _np.flatnonzero(~chosen)
+        if k > taken and leftovers.size:
+            picks = rng.sample(range(leftovers.size), min(k - taken, leftovers.size))
+            chosen[leftovers[_np.asarray(picks, dtype=_np.int64)]] = True
+        auxiliary = candidates[chosen]
+        peers = _np.empty_like(inst.ids)
+        weights = _np.empty_like(inst.weights)
+        peers[inst.order] = inst.ids
+        weights[inst.order] = inst.weights
+        cost = chord_cost_arrays(space, source, peers, weights, _np.append(core, auxiliary))
+        results.append(SelectionResult(frozenset(auxiliary.tolist()), cost, "chord-oblivious"))
+    return results
 
 
 def select_pastry_oblivious(

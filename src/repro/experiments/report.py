@@ -14,12 +14,12 @@ provenance block) and ``results/report.md``.
 
 from __future__ import annotations
 
-import json
 import pathlib
 
 from repro.experiments.figures import FigurePreset, FigureResult, run_figure
 from repro.obs.manifest import build_manifest
 from repro.util.timer import Stopwatch
+from repro.util.jsonfmt import write_json_atomic
 
 __all__ = [
     "REPORT_SCHEMA",
@@ -178,7 +178,7 @@ def run_report(
         "manifest": manifest,
         "figures": figures_payload,
     }
-    (out_path / "report.json").write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
+    write_json_atomic(out_path / "report.json", document)
     digest = manifest.get("config_digest")
     markdown_parts.append(
         f"<!-- MANIFEST_v1: preset={preset.name} seed={preset.seed} "

@@ -18,6 +18,7 @@ import random
 from bisect import bisect_left, insort
 from typing import Callable, Iterable
 
+from repro.core.frequency import ExactFrequencyTable
 from repro.core.oblivious import select_pastry_oblivious, select_uniform_random
 from repro.core.pastry_selection import select_pastry
 from repro.core.types import SelectionProblem, SelectionResult
@@ -378,14 +379,7 @@ class PastryNetwork:
 
     def seed_frequencies(self, node_id: int, frequencies: dict[int, float]) -> None:
         """Pre-load a node's tracker with a destination distribution."""
-        from repro.core.frequency import ExactFrequencyTable
-
-        node = self.nodes[node_id]
-        tracker = ExactFrequencyTable()
-        for peer, weight in frequencies.items():
-            if peer != node_id and weight > 0:
-                tracker.observe(peer, weight)
-        node.tracker = tracker
+        self.nodes[node_id].tracker = ExactFrequencyTable.from_weights(frequencies, exclude=node_id)
 
     # ------------------------------------------------------------------
     # Internals

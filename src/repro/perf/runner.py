@@ -41,7 +41,6 @@ when numpy is absent.
 
 from __future__ import annotations
 
-import json
 import os
 import pathlib
 import platform
@@ -55,6 +54,7 @@ from repro.perf.micro import KERNEL_PAIRS, micro_benchmarks
 from repro.perf.overhead import overhead_benchmark
 from repro.perf.telemetry import telemetry_overhead_benchmark
 from repro.util.parallel import resolve_jobs
+from repro.util.jsonfmt import write_json_atomic
 
 __all__ = ["BENCH_SCHEMA", "run_bench", "write_bench"]
 
@@ -103,9 +103,7 @@ def run_bench(smoke: bool = False, jobs: int | None = None) -> dict:
 
 def write_bench(document: dict, path: str | pathlib.Path) -> pathlib.Path:
     """Write the document as stable, diff-friendly JSON."""
-    path = pathlib.Path(path)
-    path.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
-    return path
+    return write_json_atomic(path, document)
 
 
 def print_summary(document: dict, stream=None) -> None:

@@ -23,13 +23,13 @@ terminal ``# EOF``.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from dataclasses import dataclass
 
 from repro.obs.manifest import build_manifest
 from repro.util.errors import ConfigurationError
+from repro.util.jsonfmt import write_json_atomic
 
 __all__ = [
     "METRICS_SCHEMA",
@@ -70,8 +70,7 @@ def build_metrics_document(config, cells: dict[str, dict], round_clock: dict) ->
 
 def write_metrics(document: dict, path) -> None:
     """Write a METRICS_v1 document as canonical, diff-friendly JSON."""
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(json.dumps(document, sort_keys=True, indent=2) + "\n")
+    write_json_atomic(path, document)
 
 
 # ----------------------------------------------------------------------

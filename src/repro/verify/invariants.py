@@ -37,10 +37,13 @@ deliberately broken solver and watch the corresponding invariant fire.
 
 from __future__ import annotations
 
+import copy
 import math
 import random
 from dataclasses import dataclass
 
+from repro.chord.ring import ChordRing, oblivious_policy, optimal_policy
+from repro.chord.routing import RingTable
 from repro.core import chord_selection, cost, kademlia_selection, pastry_selection
 from repro.core.types import SelectionProblem
 from repro.pastry.routing import circular_distance
@@ -52,6 +55,7 @@ __all__ = [
     "REGISTRY",
     "Violation",
     "check_budget_feasibility",
+    "check_bulk_install",
     "check_cachestats_conservation",
     "check_chord_state",
     "check_chord_successors",
@@ -127,6 +131,19 @@ REGISTRY: dict[str, Invariant] = {
             "gets exactly the set and cost it gets alone; on Pastry and "
             "Kademlia the flat greedy returns exactly the trie greedy's set "
             "and cost bits, on the problem and on two tie-heavy decoys.",
+        ),
+        Invariant(
+            "selection.bulk_install",
+            "selection",
+            ("chord",),
+            "A whole-ring recompute through the policies' array-native bulk "
+            "forms (ChordRing.recompute_all_auxiliary) installs exactly the "
+            "auxiliary sets a recompute_auxiliary loop over alive_ids() "
+            "installs, for the optimal and the oblivious policy, and leaves "
+            "a same-seeded RNG in the same state; checked on a copy of the "
+            "scenario's ring and on a dense decoy ring whose candidate gaps "
+            "straddle finger-range boundaries and whose tied weights "
+            "straddle the top-L cut.",
         ),
         Invariant(
             "selection.nesting",
@@ -419,6 +436,78 @@ def _flat_against_trie(problem: SelectionProblem, overlay: str) -> list[str]:
                 f"cost {oracle.cost!r}{where} (node {problem.source})"
             )
     return messages
+
+
+#: The bulk-install decoy: 28 of the 64 ids of a 6-bit ring (dense, so
+#: many candidates sit one below a power-of-two gap), 18 tracked peers per
+#: node with weights in {1, 2, 3} cut to the top 8 (ties at the cut).
+_BULK_DECOY = (6, 28, 18, 8)
+_BULK_DECOY_K = 3
+
+
+def _bulk_decoy(seed: int) -> ChordRing:
+    bits, n, tracked, __ = _BULK_DECOY
+    ring = ChordRing.build(n, space=IdSpace(bits), seed=seed)
+    rng = random.Random(seed)
+    ids = ring.alive_ids()
+    for node_id in ids:
+        peers = rng.sample([other for other in ids if other != node_id], tracked)
+        ring.seed_frequencies(node_id, {peer: float(rng.randint(1, 3)) for peer in peers})
+    return ring
+
+
+def _selection_copy(ring: ChordRing) -> ChordRing:
+    """A copy of ``ring`` that auxiliary installs can change without
+    touching the original: its own nodes, auxiliary sets and tables; the
+    cores, successor lists and trackers, which selection only reads, are
+    shared."""
+    twin = copy.copy(ring)
+    twin.nodes = {}
+    for node_id, node in ring.nodes.items():
+        clone = copy.copy(node)
+        clone.auxiliary = set(node.auxiliary)
+        clone.table = RingTable(node_id, node.space)
+        for entry in node.table.entries():
+            clone.table.add(entry)
+        twin.nodes[node_id] = clone
+    return twin
+
+
+def _bulk_against_loop(ring: ChordRing, k: int, limit, seed: int, where: str) -> list[str]:
+    messages = []
+    for policy in (optimal_policy, oblivious_policy):
+        bulk, loop = _selection_copy(ring), _selection_copy(ring)
+        bulk_rng, loop_rng = random.Random(seed), random.Random(seed)
+        bulk.recompute_all_auxiliary(k, policy, bulk_rng, frequency_limit=limit)
+        for node_id in loop.alive_ids():
+            loop.recompute_auxiliary(node_id, k, policy, loop_rng, frequency_limit=limit)
+        differ = [
+            node_id
+            for node_id in loop.alive_ids()
+            if bulk.node(node_id).auxiliary != loop.node(node_id).auxiliary
+        ]
+        if differ:
+            first = differ[0]
+            messages.append(
+                f"{policy.__name__} bulk install differs from the per-node loop "
+                f"at {len(differ)} node(s) of the {where}: node {first} got "
+                f"{sorted(bulk.node(first).auxiliary)}, the loop "
+                f"{sorted(loop.node(first).auxiliary)}"
+            )
+        if bulk_rng.getstate() != loop_rng.getstate():
+            messages.append(
+                f"{policy.__name__} bulk install left the RNG in another state "
+                f"than the per-node loop on the {where}"
+            )
+    return messages
+
+
+def check_bulk_install(ring: ChordRing, k: int, frequency_limit, seed: int) -> list[str]:
+    """``selection.bulk_install``: bulk recompute ≡ per-node loop, on copies
+    of ``ring`` (left untouched) and of a decoy seeded by ``seed``."""
+    return _bulk_against_loop(
+        ring, k, frequency_limit, seed, "scenario ring"
+    ) + _bulk_against_loop(_bulk_decoy(seed), _BULK_DECOY_K, _BULK_DECOY[3], seed, "decoy ring")
 
 
 def check_selection_nesting(

@@ -12,7 +12,9 @@ applicable invariant from :mod:`repro.verify.invariants`:
 * after **stabilize** steps (and on the freshly built overlay): successor
   -list / leaf-set ground-truth and symmetry checks;
 * after **recompute** steps: the selection invariants (DP ≡ fast/greedy,
-  nesting, monotonicity in k, QoS bounds) on a seeded sample of nodes;
+  nesting, monotonicity in k, QoS bounds) on a seeded sample of nodes,
+  and on Chord, before the recompute, bulk install ≡ per-node loop on
+  copies of the ring;
 * during **lookups** steps: per-hop progress, termination-at-responsible,
   retry accounting, trace-vs-HopStatistics reconciliation, and the cache
   attribution plane's conservation law (an
@@ -60,6 +62,7 @@ from repro.engine.dispatch import COLUMNAR_MAX_BITS, numpy_or_none
 from repro.verify.invariants import (
     Violation,
     check_budget_feasibility,
+    check_bulk_install,
     check_cachestats_conservation,
     check_chord_state,
     check_chord_successors,
@@ -452,6 +455,19 @@ class _Engine:
             self.clean = True
 
     def _op_recompute(self, arg: int, step: int) -> None:
+        if self.kind == "chord":
+            # On copies, with a private RNG: the scenario's state and its
+            # streams stay exactly as they would be without the check.
+            self._record(
+                "selection.bulk_install",
+                step,
+                check_bulk_install(
+                    self.overlay,
+                    self.scenario.k,
+                    64,
+                    substream_seed(self.scenario.seed, f"bulk-install-{step}"),
+                ),
+            )
         self.overlay.recompute_all_auxiliary(
             self.scenario.k, self.policy, self.policy_rng, frequency_limit=64
         )

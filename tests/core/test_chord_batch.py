@@ -10,6 +10,7 @@ import random
 from contextlib import contextmanager
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +19,7 @@ from repro.chord.ring import ChordRing, optimal_policy
 from repro.core import chord_selection
 from repro.core.chord_selection import (
     select_chord,
-    select_chord_block,
+    select_chord_arrays,
     select_chord_fast,
     select_chord_many,
     solver_blocks,
@@ -33,7 +34,7 @@ def recursive(problem):
     """The oracle: the recursive layer solver on ``problem`` alone."""
     inst = chord_selection._normalize(problem)
     chosen, cost = chord_selection._solve_recursive(inst, problem.k)
-    return chord_selection._result(problem, inst, chosen, cost, "chord-fast")
+    return chord_selection._result(inst, chosen, cost, "chord-fast")
 
 
 def assert_identical(got, want):
@@ -204,6 +205,18 @@ class TestBlockIndependence:
         assert_identical(select_chord_fast(problem), recursive(problem))
 
 
+def instance_of(problem):
+    """``problem`` through the array front end."""
+    count = len(problem.frequencies)
+    return chord_selection.chord_instance(
+        problem.space,
+        problem.source,
+        np.fromiter(problem.frequencies, dtype=np.int64, count=count),
+        np.fromiter(problem.frequencies.values(), dtype=np.float64, count=count),
+        problem.core_neighbors,
+    )
+
+
 class TestBulkPolicy:
     def test_block_form_matches_select_chord(self):
         rng = random.Random(5)
@@ -211,14 +224,17 @@ class TestBulkPolicy:
             random_problem(rng, bits=32, peers=peers, cores=6, k=4)
             for peers in (10, 40, 120, 32, 33, 90)
         ]
-        for problem, result in zip(block, select_chord_block(block)):
+        insts = [instance_of(problem) for problem in block]
+        for problem, result in zip(block, select_chord_arrays(insts, 4)):
             assert_identical(result, select_chord(problem))
 
     def test_solver_blocks_keep_order_and_respect_the_budget(self):
         rng = random.Random(6)
-        items = [random_problem(rng, bits=32, peers=300, cores=10, k=3) for _ in range(40)]
+        items = [
+            instance_of(random_problem(rng, bits=32, peers=300, cores=10, k=3)) for _ in range(40)
+        ]
         blocks = list(solver_blocks(iter(items)))
-        assert [problem for block in blocks for problem in block] == items
+        assert [id(inst) for block in blocks for inst in block] == list(map(id, items))
         per_problem = (300 + 10) * 33
         for block in blocks:
             assert len(block) * per_problem <= max(chord_selection.BLOCK_CELLS, per_problem)

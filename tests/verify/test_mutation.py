@@ -10,10 +10,19 @@ the same violation while the bug is in — and goes green once it is out.
 import dataclasses
 import inspect
 import json
+import textwrap
 
 import pytest
 
-from repro.core import chord_selection, kademlia_selection, pastry_selection
+from repro.chord import ring as chord_ring
+from repro.core import (
+    chord_selection,
+    frequency,
+    kademlia_selection,
+    oblivious,
+    pastry_selection,
+)
+from repro.core.frequency import ExactFrequencyTable
 from repro.util.errors import ConfigurationError
 from repro.verify import (
     check_scenarios,
@@ -64,6 +73,32 @@ def plant_tie_break_flip(monkeypatch):
     monkeypatch.setattr(
         pastry_selection, "select_pastry_greedy", namespace["select_pastry_greedy"]
     )
+
+
+def plant_bucket_off_by_one(monkeypatch):
+    """Recompile the bulk oblivious baseline with its finger ranges taken
+    from ``gap + 1``: a candidate one below a power-of-two gap lands in the
+    next range up, so the draws land on other peers."""
+    source = inspect.getsource(oblivious.select_chord_oblivious_arrays)
+    broken = source.replace("_bit_lengths(gaps) - 1", "_bit_lengths(gaps + 1) - 1")
+    assert broken != source
+    namespace = dict(vars(oblivious))
+    exec(compile(broken, oblivious.__file__, "exec"), namespace)
+    monkeypatch.setattr(
+        chord_ring, "select_chord_oblivious_arrays", namespace["select_chord_oblivious_arrays"]
+    )
+
+
+def plant_top_cut_tie_flip(monkeypatch):
+    """Recompile the tracker's array snapshot with the ``(weight, id)``
+    tie-break flipped at the top-L cut: among tied weights the larger ids
+    now make the cut."""
+    source = textwrap.dedent(inspect.getsource(ExactFrequencyTable.snapshot_arrays))
+    flipped = source.replace("_np.lexsort((peers, -weights))", "_np.lexsort((-peers, -weights))")
+    assert flipped != source
+    namespace = dict(vars(frequency))
+    exec(compile(flipped, frequency.__file__, "exec"), namespace)
+    monkeypatch.setattr(ExactFrequencyTable, "snapshot_arrays", namespace["snapshot_arrays"])
 
 
 def first_chord_scenario_with_selection(master_seed=0, count=20):
@@ -263,6 +298,44 @@ class TestShrinkAndReplay:
             original["n"],
             len(original["steps"]),
         )
+
+
+class TestBulkInstallMutation:
+    @pytest.mark.parametrize(
+        "plant, policy",
+        [
+            (plant_bucket_off_by_one, "oblivious_policy"),
+            (plant_top_cut_tie_flip, "optimal_policy"),
+        ],
+        ids=["finger-range off by one", "top-L tie-break flipped"],
+    )
+    def test_bulk_path_bug_caught(self, monkeypatch, plant, policy):
+        scenario = first_chord_scenario_with_selection()
+        assert run_scenario(scenario).passed
+        plant(monkeypatch)
+        report = run_scenario(scenario)
+        assert not report.passed
+        assert {violation.invariant for violation in report.violations} == {
+            "selection.bulk_install"
+        }
+        assert any(policy in violation.message for violation in report.violations)
+        monkeypatch.undo()
+        assert run_scenario(scenario).passed
+
+    def test_tie_flip_shrinks_and_replays(self, monkeypatch, tmp_path):
+        scenario = first_chord_scenario_with_selection()
+        plant_top_cut_tie_flip(monkeypatch)
+        result = shrink(scenario, "selection.bulk_install", budget=30)
+        assert result.scenario.n <= scenario.n
+        assert len(result.scenario.steps) <= len(scenario.steps)
+        path = tmp_path / "bulk_install_failure.json"
+        path.write_text(json.dumps(failure_document(scenario, result), sort_keys=True, indent=2))
+        loaded = load_failure(path)
+        replayed = replay_failure(loaded)
+        assert not replayed.passed
+        assert replayed.violations[0].invariant == "selection.bulk_install"
+        monkeypatch.undo()
+        assert replay_failure(loaded).passed
 
 
 class TestKademliaMutation:

@@ -29,7 +29,7 @@ class TestRegistry:
             "budget",
             "cachestats",
         }
-        assert len(REGISTRY) == 18
+        assert len(REGISTRY) == 19
 
     def test_overlay_applicability(self):
         for invariant in REGISTRY.values():
@@ -39,6 +39,7 @@ class TestRegistry:
         assert REGISTRY["selection.nesting"].overlays == ("pastry", "kademlia")
         # Per-overlay structural invariants stay overlay-pinned.
         assert REGISTRY["state.successor_lists"].overlays == ("chord",)
+        assert REGISTRY["selection.bulk_install"].overlays == ("chord",)
         assert REGISTRY["state.leaf_sets"].overlays == ("pastry",)
         assert REGISTRY["kademlia.table_coherence"].overlays == ("kademlia",)
         # The routing and responsibility oracles cover all three overlays.
