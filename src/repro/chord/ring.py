@@ -18,6 +18,8 @@ import random
 from bisect import bisect_left, bisect_right, insort
 from typing import Callable, Iterable
 
+import numpy as np
+
 from repro.chord.node import ChordNode
 from repro.chord.routing import LookupResult, route
 from repro.core.chord_selection import (
@@ -37,11 +39,6 @@ from repro.core.types import SelectionProblem, SelectionResult
 from repro.util.errors import ConfigurationError, NodeAbsentError
 from repro.util.ids import IdSpace
 from repro.util.validation import require_non_negative_int, require_positive_int
-
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only on stripped installs
-    np = None
 
 __all__ = [
     "AuxiliaryPolicy",
@@ -146,9 +143,12 @@ class ChordRing:
         rng = random.Random(seed)
         if n > ring.space.size:
             raise ConfigurationError(f"cannot place {n} nodes in a {ring.space.bits}-bit space")
-        ids = rng.sample(range(ring.space.size), n)
-        for node_id in ids:
-            ring.add_node(node_id)
+        # Insert every node, then build each core once: ``rebuild_core``
+        # draws no randomness, so per-insert rebuilds would only be
+        # overwritten by the stabilization pass.
+        for node_id in rng.sample(range(ring.space.size), n):
+            ring.nodes[node_id] = ChordNode(node_id, ring.space, ring.successor_list_size)
+        ring._alive = sorted(ring.nodes)
         ring.stabilize_all()
         return ring
 
@@ -446,16 +446,14 @@ class ChordRing:
         (:meth:`_selection_arrays`), a block of nodes at a time, in
         ``alive_ids()`` order, and installs exactly what the per-node calls
         would, drawing the same numbers from ``rng``. The others, any
-        policy while telemetry records per-node spans, ids wider than 53
-        bits and installs without NumPy run :meth:`recompute_auxiliary`
-        node by node.
+        policy while telemetry records per-node spans and ids wider than
+        53 bits run :meth:`recompute_auxiliary` node by node.
         """
         select_many = getattr(policy, "select_many", None)
         if (
             select_many is None
             or self._telemetry is not None
             or self.space.bits > _MAX_VECTOR_BITS
-            or np is None
         ):
             for node_id in self.alive_ids():
                 self.recompute_auxiliary(node_id, k, policy, rng, frequency_limit)

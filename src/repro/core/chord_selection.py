@@ -53,15 +53,12 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+import numpy as _np
+
 from repro.core.cost import _MAX_VECTOR_BITS, _bit_lengths
 from repro.core.types import SelectionProblem, SelectionResult
 from repro.util.errors import ConfigurationError, InfeasibleConstraintError
 from repro.util.ids import IdSpace
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only on stripped installs
-    _np = None
 
 __all__ = [
     "chord_instance",
@@ -221,7 +218,7 @@ def _serving_distance(inst: _ChordInstance, pointer_gap: int | None, peer_gap: i
 
 
 def _vectorizable(inst: _ChordInstance) -> bool:
-    return _np is not None and inst.bits <= _MAX_VECTOR_BITS and inst.n > 0
+    return inst.bits <= _MAX_VECTOR_BITS and inst.n > 0
 
 
 def _base_costs(inst: _ChordInstance) -> list[float]:

@@ -15,8 +15,7 @@ overlay-specific hop-count estimate:
 Two implementations are provided for each evaluator:
 
 * a scalar pure-Python version (``*_scalar``) — the ground truth every
-  selection algorithm is tested against, and the only path on machines
-  without NumPy;
+  selection algorithm is tested against;
 * a NumPy-batched version (``*_vectorized``) — frequency weights, peer
   ids and pointer offsets live in arrays; ``bit_length`` is computed via
   ``np.frexp`` exponents (exact for ids below ``2**53``) and the
@@ -34,14 +33,11 @@ from bisect import bisect_right, insort
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
+import numpy as _np
+
 from repro.core.types import SelectionProblem, SelectionResult
 from repro.util.errors import ConfigurationError, InfeasibleConstraintError
 from repro.util.ids import IdSpace
-
-try:  # NumPy is a declared dependency but the scalar path keeps the
-    import numpy as _np  # library usable (and testable) without it.
-except ImportError:  # pragma: no cover - exercised only on stripped installs
-    _np = None
 
 __all__ = [
     "VECTORIZE_THRESHOLD",
@@ -69,7 +65,7 @@ _MAX_VECTOR_BITS = 53
 
 
 def _vectorizable(space: IdSpace, entries: int) -> bool:
-    return _np is not None and entries >= VECTORIZE_THRESHOLD and space.bits <= _MAX_VECTOR_BITS
+    return entries >= VECTORIZE_THRESHOLD and space.bits <= _MAX_VECTOR_BITS
 
 
 def _bit_lengths(values):

@@ -28,13 +28,10 @@ import heapq
 from collections import Counter, deque
 from typing import Iterable, Mapping, Protocol
 
+import numpy as _np
+
 from repro.util.errors import ConfigurationError
 from repro.util.validation import require_positive_int
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only on stripped installs
-    _np = None
 
 __all__ = [
     "FrequencyTracker",
@@ -157,11 +154,11 @@ class ExactFrequencyTable:
 
         ``None`` when the arrays could not reproduce the snapshot: a key
         that is not a plain ``int`` or does not fit int64, or a NaN weight
-        at a cut (NaN has no place in either order), or no NumPy. Callers
-        then fall back to :meth:`snapshot`."""
+        at a cut (NaN has no place in either order). Callers then fall
+        back to :meth:`snapshot`."""
         counts = self._counts
         size = len(counts)
-        if _np is None or size and set(map(type, counts)) != {int}:
+        if size and set(map(type, counts)) != {int}:
             return None
         try:
             peers = _np.fromiter(counts, dtype=_np.int64, count=size)

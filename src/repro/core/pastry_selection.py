@@ -39,15 +39,12 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
+import numpy as _np
+
 from repro.core.trie import PeerTrie, TrieVertex
 from repro.core.types import SelectionProblem, SelectionResult
 from repro.util.errors import ConfigurationError, InfeasibleConstraintError
 from repro.util.ids import IdSpace
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only on stripped installs
-    _np = None
 
 __all__ = [
     "select_pastry",
@@ -120,7 +117,7 @@ def _merge_dp(vertex: TrieVertex, k: int) -> _CostTable:
         child_max = len(child.memo.costs) - 1  # type: ignore[union-attr]
         costs = [_child_cost(child, min(j, child_max)) for j in range(jmax + 1)]
         table = _CostTable(costs, [min(j, child_max) for j in range(jmax + 1)])
-    elif _np is not None and jmax >= _DP_VECTOR_MIN_BUDGET:
+    elif jmax >= _DP_VECTOR_MIN_BUDGET:
         table = _merge_dp_vectorized(vertex, jmax)
     else:
         first, second = children

@@ -19,9 +19,7 @@ Layout of the package:
   :class:`BatchRouteResult` fold into :class:`~repro.sim.metrics.
   HopStatistics`.
 * :mod:`repro.engine.dispatch` — engine selection (``auto`` /
-  ``objects`` / ``columnar``), NumPy gating and the supportability
-  rules. This module is import-safe without NumPy; the other two
-  require it and are only imported behind the dispatch gate.
+  ``objects`` / ``columnar``) and the supportability rules.
 
 The columnar path is *bit-identical* to the object path on the
 workloads it supports (stable mode, no faults, no telemetry): the
@@ -34,7 +32,6 @@ from repro.engine.dispatch import (
     COLUMNAR_MAX_BITS,
     ENGINES,
     columnar_support,
-    numpy_or_none,
     resolve_engine,
 )
 
@@ -42,6 +39,5 @@ __all__ = [
     "COLUMNAR_MAX_BITS",
     "ENGINES",
     "columnar_support",
-    "numpy_or_none",
     "resolve_engine",
 ]

@@ -1,4 +1,4 @@
-"""Engine selection: objects vs columnar, with NumPy gating.
+"""Engine selection: objects vs columnar.
 
 The ``engine`` field on :class:`~repro.sim.runner.ExperimentConfig`
 accepts three values:
@@ -6,8 +6,8 @@ accepts three values:
 * ``"objects"`` — always route over the object-graph overlays.
 * ``"columnar"`` — demand the vectorized engine; raises
   :class:`~repro.util.errors.ConfigurationError` with the blocking
-  reason when the cell is unsupported (NumPy missing, faults active,
-  oversized id space, ...).
+  reason when the cell is unsupported (faults active, oversized id
+  space, ...).
 * ``"auto"`` (default) — columnar whenever :func:`columnar_support`
   allows it, objects otherwise. There is no size threshold: measured
   whole cells run as fast or faster columnar at every size tried
@@ -20,7 +20,9 @@ freezes the overlay before routing, so anything that mutates routing
 state mid-stream — fault planes (evictions, message drops), churn,
 retry policies with observable backoff — stays on the object path.
 Telemetry/trace instrumentation also forces objects: the per-hop
-callback surface is exactly what the frontier batches away.
+callback surface is exactly what the frontier batches away. Global
+budget plans run on both engines: quotas only change which pointers are
+installed, and the snapshot copies whatever tables the overlay holds.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ __all__ = [
     "COLUMNAR_MAX_BITS",
     "ENGINES",
     "columnar_support",
-    "numpy_or_none",
     "resolve_engine",
 ]
 
@@ -43,23 +44,6 @@ ENGINES = ("auto", "objects", "columnar")
 #: stay on the object path (``IdSpace`` itself allows up to 256 bits).
 COLUMNAR_MAX_BITS = 52
 
-_numpy_checked = False
-_numpy_module = None
-
-
-def numpy_or_none():
-    """The :mod:`numpy` module, or ``None`` when not installed."""
-    global _numpy_checked, _numpy_module
-    if not _numpy_checked:
-        try:
-            import numpy
-        except ImportError:  # pragma: no cover - exercised on numpy-less boxes
-            _numpy_module = None
-        else:
-            _numpy_module = numpy
-        _numpy_checked = True
-    return _numpy_module
-
 
 def columnar_support(config) -> tuple[bool, str]:
     """``(supported, reason)`` — can this stable cell run columnar?
@@ -67,19 +51,12 @@ def columnar_support(config) -> tuple[bool, str]:
     ``reason`` is empty when supported, else the first blocking rule
     (the message an explicit ``engine="columnar"`` request fails with).
     """
-    if numpy_or_none() is None:
-        return False, "numpy is not installed"
     if getattr(config, "duration", None) is not None and hasattr(config, "queries_per_second"):
         return False, "churn mode mutates routing state mid-stream"
     if config.faults_active:
         return False, "fault injection mutates routing state mid-stream"
     if config.retry is not None:
         return False, "an explicit retry policy is only observable on the object path"
-    if getattr(config, "budget_plan_active", False):
-        return False, (
-            "global budget plans install heterogeneous per-node quotas, which "
-            "the uniform-k columnar install path does not model"
-        )
     if config.bits > COLUMNAR_MAX_BITS:
         return False, (
             f"bits={config.bits} exceeds the columnar engine's exact-arithmetic "
@@ -91,9 +68,10 @@ def columnar_support(config) -> tuple[bool, str]:
 def resolve_engine(config, telemetry_active: bool = False) -> str:
     """Resolve ``config.engine`` to ``"objects"`` or ``"columnar"``.
 
-    ``telemetry_active`` marks a run with an enabled telemetry runtime
-    attached; the columnar engine has no per-hop instrumentation surface,
-    so telemetry forces (or, for explicit ``columnar``, refuses) objects.
+    ``telemetry_active`` marks a run with an enabled telemetry runtime or
+    trace recorder attached; the columnar engine has no per-hop
+    instrumentation surface, so telemetry forces (or, for explicit
+    ``columnar``, refuses) objects.
     """
     engine = getattr(config, "engine", "auto")
     if engine == "objects":
@@ -102,7 +80,7 @@ def resolve_engine(config, telemetry_active: bool = False) -> str:
     if engine == "columnar":
         if telemetry_active:
             raise ConfigurationError(
-                "engine='columnar' cannot run with telemetry attached: the "
+                "engine='columnar' cannot run with telemetry or tracing attached: the "
                 "vectorized frontier has no per-hop instrumentation surface"
             )
         if not supported:

@@ -38,6 +38,8 @@ import json
 from dataclasses import asdict, dataclass
 
 from repro.core import budget as budget_mod
+from repro.engine.columnar import snapshot_chord, snapshot_pastry
+from repro.engine.router import batch_route_chord, batch_route_pastry
 from repro.obs.attribution import AttributionRecorder, attribute_batch
 from repro.obs.manifest import build_manifest
 from repro.sim.metrics import HopStatistics
@@ -138,14 +140,8 @@ class CachestatsCell:
 def _columnar_attribution(bench, config, recorder, queries) -> bool | None:
     """Route the identical query batch through the columnar engine and
     attribute the lanes; ``True``/``False`` = matches the object-graph
-    attribution, ``None`` = engine does not cover this overlay (or
-    NumPy is absent)."""
+    attribution, ``None`` = engine does not cover this overlay."""
     if config.overlay not in ("chord", "pastry"):
-        return None
-    try:
-        from repro.engine.columnar import snapshot_chord, snapshot_pastry
-        from repro.engine.router import batch_route_chord, batch_route_pastry
-    except ImportError:  # pragma: no cover - NumPy-less environments
         return None
     sources = [query.source for query in queries]
     keys = [query.item for query in queries]

@@ -1,10 +1,10 @@
 """Traced experiment cells: run one stable-mode cell with tracing on.
 
 :func:`trace_cell` replays exactly the universe ``run_stable`` builds for
-one policy — same registry substreams, same overlay, same workload, same
-fault realization — but hands the router a :class:`LookupTracer`, so the
-per-hop story of every lookup (or a seeded reservoir sample of them) is
-captured. Because recorders only observe, the aggregate statistics of a
+one policy — it runs the same per-policy routine, so the same registry
+substreams, overlay, workload, budget plan and fault realization — but
+hands the router a :class:`LookupTracer`, so the per-hop story of every
+lookup (or a seeded reservoir sample of them) is captured. Because recorders only observe, the aggregate statistics of a
 traced cell are bit-identical to the untraced run; ``tests/obs`` pins
 this, which is what lets traces explain production numbers rather than
 numbers-of-a-slightly-different-run.
@@ -19,22 +19,16 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.faults.injector import apply_stable_faults, maybe_corrupt
-from repro.faults.plane import FaultPlane
 from repro.obs.manifest import build_manifest
 from repro.obs.recorder import LookupTracer
-from repro.sim.metrics import HopStatistics
-from repro.sim.runner import ExperimentConfig, _Bench
-from repro.util.errors import ConfigurationError
+from repro.sim.runner import ExperimentConfig, _stable_policy
 from repro.util.jsonfmt import json_float
 from repro.util.parallel import run_tasks
-from repro.util.rng import SeedSequenceRegistry, substream_seed
+from repro.util.rng import substream_seed
 
 __all__ = ["TRACE_SCHEMA", "trace_cell", "trace_cells"]
 
 TRACE_SCHEMA = "TRACE_v1"
-
-_POLICIES = ("optimal", "oblivious")
 
 
 def trace_cell(
@@ -50,49 +44,10 @@ def trace_cell(
     reservoir), the usual :class:`HopStatistics` summary, and the fault
     plane's injection counters when faults were active.
     """
-    if policy not in _POLICIES:
-        raise ConfigurationError(f"unknown policy {policy!r}; expected one of {_POLICIES}")
-    registry = SeedSequenceRegistry(config.seed)
-    bench = _Bench(config, registry)
-    if config.learned_frequencies:
-        generator = bench.query_generator("warmup-queries")
-        alive = bench.overlay.alive_ids()
-        for query in generator.stream(config.effective_warmup_queries, lambda: alive):
-            bench.lookup(query.source, query.item, record_access=True)
-    else:
-        bench.seed_all()
-    optimal, oblivious = bench.policies()
-    chosen = optimal if policy == "optimal" else oblivious
-    bench.overlay.recompute_all_auxiliary(
-        config.effective_k,
-        chosen,
-        registry.fresh(f"policy-rng-{policy}"),
-        frequency_limit=config.frequency_limit,
-    )
-    plane: FaultPlane | None = None
-    if config.faults_active:
-        plane = FaultPlane(config.faults, registry.fresh("fault-plane"))
-        apply_stable_faults(plane, bench.overlay)
-    retry = config.effective_retry
     # The reservoir draws from its own substream: tracing must never
     # perturb the simulation's RNG streams.
     tracer = LookupTracer(sample=sample, seed=substream_seed(config.seed, "trace-reservoir"))
-    stats = HopStatistics(keep_samples=True)
-    generator = bench.query_generator("queries")
-    alive = bench.overlay.alive_ids()
-    for query in generator.stream(config.queries, lambda: alive):
-        if plane is not None:
-            maybe_corrupt(plane, bench.overlay)
-        stats.record(
-            bench.lookup(
-                query.source,
-                query.item,
-                record_access=False,
-                retry=retry,
-                faults=plane,
-                trace=tracer,
-            )
-        )
+    stats, plane = _stable_policy(config, policy, trace=tracer)
     percentiles = {
         key: json_float(value) for key, value in stats.latency_percentiles().items()
     }

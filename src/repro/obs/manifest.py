@@ -32,6 +32,8 @@ import sys
 import time
 from typing import Any
 
+import numpy
+
 __all__ = [
     "MANIFEST_SCHEMA",
     "config_digest",
@@ -90,17 +92,11 @@ def git_revision(cwd: str | None = None) -> str | None:
 def environment_info() -> dict:
     """Interpreter / platform / numpy versions (the dials that move
     floating-point results between machines)."""
-    try:
-        import numpy
-
-        numpy_version = numpy.__version__
-    except Exception:  # pragma: no cover - numpy is baked into the image
-        numpy_version = None
     return {
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),
         "platform": platform.platform(),
-        "numpy": numpy_version,
+        "numpy": numpy.__version__,
     }
 
 

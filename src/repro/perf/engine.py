@@ -24,9 +24,6 @@ Three sections back the ``repro bench`` gates for the columnar engine:
   reporting scale and gates on **bytes per node**, keeping the columnar
   representation honest about its footprint (ids + CSR tables + the
   keyed routing arrays described in :mod:`repro.engine.columnar`).
-
-Every section degrades to ``{"skipped": ...}`` when numpy is missing so
-the bench document stays well-formed on minimal installs.
 """
 
 from __future__ import annotations
@@ -36,7 +33,10 @@ import statistics
 import time
 from dataclasses import replace
 
-from repro.engine.dispatch import numpy_or_none
+import numpy as np
+
+from repro.engine.columnar import build_direct_chord, snapshot_chord, snapshot_pastry
+from repro.engine.router import batch_route_chord, batch_route_pastry
 from repro.perf.harness import measure
 from repro.sim.runner import ExperimentConfig, run_stable
 
@@ -77,8 +77,6 @@ _EQUIVALENCE_CELLS = {
 
 def engine_equivalence(smoke: bool = False) -> dict:
     """Run one cell per overlay under both engines; results must be equal."""
-    if numpy_or_none() is None:
-        return {"skipped": "numpy unavailable"}
     cells = {}
     for overlay, n, k, bits, queries in _EQUIVALENCE_CELLS[smoke]:
         base = ExperimentConfig(
@@ -128,12 +126,6 @@ def _speedup_workload(overlay_name: str, smoke: bool):
 
 def engine_speedup(smoke: bool = False) -> dict:
     """Object routers vs batched columnar routing on frozen overlays."""
-    if numpy_or_none() is None:
-        return {"skipped": "numpy unavailable"}
-    from repro.engine.columnar import snapshot_chord, snapshot_pastry
-    from repro.engine.router import batch_route_chord, batch_route_pastry
-
-    np = numpy_or_none()
     repeats = 3 if smoke else 7
     overlays = {}
     for overlay_name in ("chord", "pastry"):
@@ -202,10 +194,6 @@ def engine_speedup(smoke: bool = False) -> dict:
 
 def engine_memory(smoke: bool = False) -> dict:
     """Columnar footprint per node on a synthetic reporting-scale ring."""
-    if numpy_or_none() is None:
-        return {"skipped": "numpy unavailable"}
-    from repro.engine.columnar import build_direct_chord
-
     n = 10_000 if smoke else 100_000
     snapshot = build_direct_chord(n, bits=32, seed=_BENCH_SEED)
     bytes_per_node = snapshot.bytes_per_node

@@ -6,7 +6,7 @@ Document layout::
       "schema": "BENCH_v1",
       "mode": "full" | "smoke",
       "python": "3.x.y", "platform": "...", "cpu_count": N,
-      "numpy": "x.y.z" | null,
+      "numpy": "x.y.z",
       "manifest": {... MANIFEST_v1 run provenance ...},
       "micro":    {name: {repeats, warmup, min_s, median_s, ...}},
       "macro":    {name: {...}},                # one-shot figure cells
@@ -26,17 +26,15 @@ is >= 5x on both cost kernels at n=1024. ``parallel.identical`` must be
 ``true`` — it certifies that worker-process fan-out reproduces the serial
 sweep bit for bit. ``obs_overhead.passed`` must be ``true`` — it
 certifies that routing with a disabled trace recorder costs < 2% over
-routing with no recorder (see :mod:`repro.perf.overhead`).
-``telemetry_overhead.passed`` must be ``true`` — the same bar for the
-disabled telemetry runtime (see :mod:`repro.perf.telemetry`).
-``cachestats_overhead.passed`` must be ``true`` — the same bar again for
-a disabled :class:`~repro.obs.attribution.AttributionRecorder` (see
-:mod:`repro.perf.cachestats`).
+routing with no recorder. ``telemetry_overhead.passed`` and
+``cachestats_overhead.passed`` hold the same bar for the disabled
+telemetry runtime and a disabled
+:class:`~repro.obs.attribution.AttributionRecorder`; one paired routine
+measures all three (see :mod:`repro.perf.overhead`).
 The ``engine_*`` sections certify the columnar simulation engine: cross-
 engine results identical, batched routing >= 10x the object routers at
 full scale, and <= 1 KiB of columnar image per node (see
-:mod:`repro.perf.engine`). Each may instead carry ``{"skipped": ...}``
-when numpy is absent.
+:mod:`repro.perf.engine`).
 """
 
 from __future__ import annotations
@@ -46,27 +44,19 @@ import pathlib
 import platform
 import sys
 
+import numpy
+
 from repro.obs.manifest import build_manifest
-from repro.perf.cachestats import cachestats_overhead_benchmark
 from repro.perf.engine import engine_equivalence, engine_memory, engine_speedup
 from repro.perf.macro import macro_benchmarks, parallel_identity_check
 from repro.perf.micro import KERNEL_PAIRS, micro_benchmarks
-from repro.perf.overhead import overhead_benchmark
-from repro.perf.telemetry import telemetry_overhead_benchmark
+from repro.perf.overhead import OVERHEAD_SECTIONS, paired_overhead
 from repro.util.parallel import resolve_jobs
 from repro.util.jsonfmt import write_json_atomic
 
 __all__ = ["BENCH_SCHEMA", "run_bench", "write_bench"]
 
 BENCH_SCHEMA = "BENCH_v1"
-
-
-def _numpy_version() -> str | None:
-    try:
-        import numpy
-    except ImportError:
-        return None
-    return numpy.__version__
 
 
 def run_bench(smoke: bool = False, jobs: int | None = None) -> dict:
@@ -84,7 +74,7 @@ def run_bench(smoke: bool = False, jobs: int | None = None) -> dict:
         "python": platform.python_version(),
         "platform": platform.platform(),
         "cpu_count": os.cpu_count(),
-        "numpy": _numpy_version(),
+        "numpy": numpy.__version__,
         "manifest": build_manifest(extra={"mode": "smoke" if smoke else "full"}),
         "micro": {name: timing.to_dict() for name, timing in micro.items()},
         "macro": {name: timing.to_dict() for name, timing in macro.items()},
@@ -92,9 +82,7 @@ def run_bench(smoke: bool = False, jobs: int | None = None) -> dict:
         # At least two workers so the check exercises a real process pool
         # even on single-CPU boxes.
         "parallel": parallel_identity_check(max(2, resolved_jobs), smoke=smoke),
-        "obs_overhead": overhead_benchmark(smoke=smoke),
-        "telemetry_overhead": telemetry_overhead_benchmark(smoke=smoke),
-        "cachestats_overhead": cachestats_overhead_benchmark(smoke=smoke),
+        **{section: paired_overhead(section, smoke=smoke) for section in OVERHEAD_SECTIONS},
         "engine_equivalence": engine_equivalence(smoke=smoke),
         "engine_speedup": engine_speedup(smoke=smoke),
         "engine_memory": engine_memory(smoke=smoke),
@@ -151,7 +139,7 @@ def print_summary(document: dict, stream=None) -> None:
                     file=stream,
                 )
     equivalence = document.get("engine_equivalence")
-    if equivalence and "skipped" not in equivalence:
+    if equivalence:
         print(f"\nengine equivalence: identical={equivalence['identical']}", file=stream)
         for name, cell in equivalence["cells"].items():
             print(
@@ -160,7 +148,7 @@ def print_summary(document: dict, stream=None) -> None:
                 file=stream,
             )
     speedup = document.get("engine_speedup")
-    if speedup and "skipped" not in speedup:
+    if speedup:
         print(
             f"engine speedup: worst routing {speedup['worst_routing_speedup']:.1f}x "
             f"(threshold {speedup['threshold']:.1f}x) passed={speedup['passed']}",
@@ -176,7 +164,7 @@ def print_summary(document: dict, stream=None) -> None:
                 file=stream,
             )
     memory = document.get("engine_memory")
-    if memory and "skipped" not in memory:
+    if memory:
         print(
             f"engine memory: n={memory['n']} "
             f"{memory['bytes_per_node']:.1f} B/node "

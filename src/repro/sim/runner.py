@@ -24,10 +24,13 @@ from functools import partial
 from itertools import chain, islice
 from operator import attrgetter
 
+import numpy as np
+
 from repro.chord.ring import ChordRing
 from repro.chord.ring import oblivious_policy as chord_oblivious
 from repro.chord.ring import optimal_policy as chord_optimal
 from repro.core import budget as budget_mod
+from repro.engine import columnar, router
 from repro.engine.dispatch import ENGINES, resolve_engine
 from repro.faults.injector import apply_stable_faults, install_fault_events, maybe_corrupt
 from repro.faults.plane import FaultPlane
@@ -52,6 +55,9 @@ from repro.workload.spec import DEFAULT_RATE, WorkloadContext, WorkloadSpec, Wor
 __all__ = ["ExperimentConfig", "ChurnConfig", "run_stable", "run_churn"]
 
 OVERLAYS = ("chord", "pastry", "kademlia")
+
+#: The two policies every cell compares, in routing order.
+_POLICIES = ("optimal", "oblivious")
 
 
 @dataclass(frozen=True)
@@ -273,6 +279,8 @@ class _Bench:
     popularity: PopularityModel = field(init=False)
     assignment: dict[int, int] = field(init=False)
     ranking_destinations: list[dict[int, float]] = field(init=False)
+    #: Stable mode's global budget plan (``None`` on the uniform-``k`` path).
+    allocation: object = field(init=False, default=None)
 
     def __post_init__(self) -> None:
         config = self.config
@@ -480,94 +488,34 @@ def run_stable(config: ExperimentConfig, telemetry=None) -> ComparisonResult:
     ``config.engine`` selects the routing engine. The columnar path
     (:mod:`repro.engine`) consumes the exact same seed streams, freezes
     the overlay after auxiliary installation and routes the identical
-    query batch vectorized — the returned statistics are bit-identical
+    query stream vectorized — the returned statistics are bit-identical
     to the object path.
     """
-    telemetry_active = any(
-        _policy_telemetry(telemetry, name) is not None for name in ("optimal", "oblivious")
-    )
-    if resolve_engine(config, telemetry_active) == "columnar":
-        return _run_stable_columnar(config)
-    if config.faults_active:
-        stats = {
-            name: _run_stable_once(config, name, telemetry=_policy_telemetry(telemetry, name))
-            for name in ("optimal", "oblivious")
-        }
-        label = (
-            f"{config.overlay} stable n={config.n} k={config.effective_k} "
-            f"alpha={config.alpha}{config.budget_label}{config.workload_label} faults"
-        )
-        return ComparisonResult(label, stats["optimal"], stats["oblivious"])
-    registry = SeedSequenceRegistry(config.seed)
-    bench = _Bench(config, registry)
-    if config.learned_frequencies:
-        # Nodes learn by observation: route warmup traffic (core pointers
-        # only) with access recording on, exactly like Section III.
-        generator = bench.query_generator("warmup-queries")
-        alive = bench.overlay.alive_ids()
-        for query in generator.stream(config.effective_warmup_queries, lambda: alive):
-            bench.lookup(query.source, query.item, record_access=True)
-    else:
-        bench.seed_all()
-    optimal, oblivious = bench.policies()
-    allocation = _budget_allocation(bench, config)
-    retry = config.effective_retry
-    stats = {}
-    for name, policy in (("optimal", optimal), ("oblivious", oblivious)):
-        tel = _policy_telemetry(telemetry, name)
-        bench.overlay.attach_telemetry(tel)
-        _install_policy_tables(
-            bench.overlay, config, policy, registry.fresh(f"policy-rng-{name}"), allocation
-        )
-        workload = bench.workload_stream("queries", horizon=config.queries / DEFAULT_RATE)
-        collected = HopStatistics()
-        alive = bench.overlay.alive_ids()
-        recorder = tel.recorder if tel is not None else None
-        boundaries = _round_boundaries(config.queries, tel.rounds) if tel is not None else ()
-        next_boundary = 0
-        for index, query in enumerate(workload.stream(config.queries, lambda: alive), start=1):
-            collected.record(
-                bench.lookup(
-                    query.source, query.item, record_access=False, retry=retry, trace=recorder
-                )
-            )
-            while next_boundary < len(boundaries) and boundaries[next_boundary] == index:
-                tel.sample_round(alive=bench.overlay.alive_count())
-                next_boundary += 1
-        stats[name] = collected
-        bench.overlay.attach_telemetry(None)
+    shared = None if config.faults_active else _stable_bench(config)
+    stats = {
+        name: _stable_policy(
+            config, name, bench=shared, telemetry=_policy_telemetry(telemetry, name)
+        )[0]
+        for name in _POLICIES
+    }
     label = (
         f"{config.overlay} stable n={config.n} k={config.effective_k} "
         f"alpha={config.alpha}{config.budget_label}{config.workload_label}"
+        f"{' faults' if config.faults_active else ''}"
     )
     return ComparisonResult(label, stats["optimal"], stats["oblivious"])
 
 
-def _run_stable_columnar(config: ExperimentConfig) -> ComparisonResult:
-    """Stable-mode comparison on the columnar engine (DESIGN.md §10).
-
-    Mirrors :func:`run_stable` stream for stream: the same
-    :class:`~repro.util.rng.SeedSequenceRegistry` draws, the same
-    warmup protocol, the same per-policy auxiliary recomputation and the
-    same query stream — then freezes each policy's overlay into a
-    columnar snapshot and routes the stream vectorized, pulling
-    :data:`COLUMNAR_LANE_BATCH` queries at a time into int64 arrays and
-    folding each batch into the policy's statistics. Clean measured
-    lookups are side-effect-free (``record_access`` is off), so skipping
-    the object walk is observationally invisible, and the integer folds
-    make any batching give bit-identical statistics.
-    """
-    import numpy as np
-
-    from repro.engine import columnar, router
-
-    registry = SeedSequenceRegistry(config.seed)
-    bench = _Bench(config, registry)
+def _stable_bench(config: ExperimentConfig) -> _Bench:
+    """One stable-mode universe, ready for a policy install: overlay and
+    workload built, frequencies seeded or learned, budget plan cut."""
+    bench = _Bench(config, SeedSequenceRegistry(config.seed))
     overlay = bench.overlay
     if config.learned_frequencies:
-        # Warmup routing's only side effect on a clean overlay is the
-        # source node observing the responsible node — which the
-        # overlay's oracle gives directly, no hop-by-hop walk needed.
+        # Nodes learn by observation (Section III). On the clean warmup
+        # overlay a lookup's only side effect is the source node
+        # observing the responsible node, which the overlay's oracle
+        # gives directly, so no hop-by-hop walk is needed.
         generator = bench.query_generator("warmup-queries")
         alive = overlay.alive_ids()
         for query in generator.stream(config.effective_warmup_queries, lambda: alive):
@@ -576,6 +524,96 @@ def _run_stable_columnar(config: ExperimentConfig) -> ComparisonResult:
                 overlay.node(query.source).record_access(destination)
     else:
         bench.seed_all()
+    # Quotas are cut before any fault lands and shared by both policies
+    # (fresh universes share seeds, so their curves are identical).
+    bench.allocation = _budget_allocation(bench, config)
+    return bench
+
+
+def _stable_policy(
+    config: ExperimentConfig,
+    policy_name: str,
+    bench: _Bench | None = None,
+    telemetry=None,
+    trace=None,
+) -> tuple[HopStatistics, FaultPlane | None]:
+    """Install one policy on a stable-mode universe and route the query
+    stream (Section VI-A); every stable-mode caller runs through here.
+    Returns the policy's statistics and the fault plane (``None`` when
+    fault-free), whose counters say what was injected.
+
+    ``bench`` is a universe from :func:`_stable_bench` that policies share;
+    ``None`` builds a fresh one. Setup faults (one crash burst, a static
+    partition) land *after* frequency seeding and auxiliary installation,
+    so every surviving node carries stale pointers to the burst victims —
+    the stress the retry / failover machinery is measured under.
+    ``telemetry`` (a runtime) or ``trace`` (a recorder) observe the object
+    routers and so pin the engine to objects. Per-lookup samples are kept
+    when faults or a trace need latency percentiles.
+
+    The columnar engine freezes the overlay into a snapshot and routes the
+    stream :data:`COLUMNAR_LANE_BATCH` queries at a time. Clean measured
+    lookups are side-effect-free (``record_access`` is off), so skipping
+    the object walk is observationally invisible, and the integer folds
+    make any batching give bit-identical statistics.
+    """
+    if policy_name not in _POLICIES:
+        raise ConfigurationError(f"unknown policy {policy_name!r}; expected one of {_POLICIES}")
+    if bench is None:
+        bench = _stable_bench(config)
+    overlay = bench.overlay
+    tel = _normalize_telemetry(telemetry)
+    engine = resolve_engine(config, tel is not None or trace is not None)
+    policy = bench.policies()[_POLICIES.index(policy_name)]
+    overlay.attach_telemetry(tel)
+    _install_policy_tables(
+        overlay,
+        config,
+        policy,
+        bench.registry.fresh(f"policy-rng-{policy_name}"),
+        bench.allocation,
+    )
+    plane: FaultPlane | None = None
+    if config.faults_active:
+        # The plane's stream depends only on the seed, not the policy:
+        # both universes realize the same burst, partition and loss
+        # pattern.
+        plane = FaultPlane(config.faults, bench.registry.fresh("fault-plane"))
+        apply_stable_faults(plane, overlay, telemetry=tel)
+    workload = bench.workload_stream("queries", horizon=config.queries / DEFAULT_RATE)
+    alive = overlay.alive_ids()
+    queries = workload.stream(config.queries, lambda: alive)
+    stats = HopStatistics(keep_samples=plane is not None or trace is not None)
+    if engine == "columnar":
+        _route_columnar(config, overlay, queries, stats)
+    else:
+        retry = config.effective_retry
+        recorder = tel.recorder if tel is not None else trace
+        boundaries = _round_boundaries(config.queries, tel.rounds) if tel is not None else ()
+        next_boundary = 0
+        for index, query in enumerate(queries, start=1):
+            if plane is not None:
+                maybe_corrupt(plane, overlay, telemetry=tel)
+            stats.record(
+                bench.lookup(
+                    query.source,
+                    query.item,
+                    record_access=False,
+                    retry=retry,
+                    faults=plane,
+                    trace=recorder,
+                )
+            )
+            while next_boundary < len(boundaries) and boundaries[next_boundary] == index:
+                tel.sample_round(alive=overlay.alive_count())
+                next_boundary += 1
+    overlay.attach_telemetry(None)
+    return stats, plane
+
+
+def _route_columnar(config: ExperimentConfig, overlay, queries, stats: HopStatistics) -> None:
+    """Route ``queries`` over a columnar snapshot of ``overlay`` and fold
+    every batch into ``stats`` (DESIGN.md §10)."""
     # Resolved per call (not at import), so patched module attributes
     # are honoured.
     if config.overlay == "chord":
@@ -585,99 +623,15 @@ def _run_stable_columnar(config: ExperimentConfig) -> ComparisonResult:
     else:
         snapshot_fn = columnar.snapshot_pastry
         route = partial(router.batch_route_pastry, mode=config.pastry_mode)
-    optimal, oblivious = bench.policies()
-    stats = {}
-    for name, policy in (("optimal", optimal), ("oblivious", oblivious)):
-        overlay.recompute_all_auxiliary(
-            config.effective_k,
-            policy,
-            registry.fresh(f"policy-rng-{name}"),
-            frequency_limit=config.frequency_limit,
+    snapshot = snapshot_fn(overlay)
+    pairs = map(_SOURCE_ITEM, queries)
+    while True:
+        flat = np.fromiter(
+            chain.from_iterable(islice(pairs, COLUMNAR_LANE_BATCH)), dtype=np.int64
         )
-        snapshot = snapshot_fn(overlay)
-        workload = bench.workload_stream("queries", horizon=config.queries / DEFAULT_RATE)
-        alive = overlay.alive_ids()
-        pairs = map(_SOURCE_ITEM, workload.stream(config.queries, lambda: alive))
-        collected = HopStatistics()
-        while True:
-            flat = np.fromiter(
-                chain.from_iterable(islice(pairs, COLUMNAR_LANE_BATCH)), dtype=np.int64
-            )
-            if not flat.size:
-                break
-            route(snapshot, flat[0::2], flat[1::2]).fold_into(collected)
-        stats[name] = collected
-    label = (
-        f"{config.overlay} stable n={config.n} k={config.effective_k} "
-        f"alpha={config.alpha}{config.workload_label}"
-    )
-    return ComparisonResult(label, stats["optimal"], stats["oblivious"])
-
-
-def _run_stable_once(
-    config: ExperimentConfig,
-    policy_name: str,
-    telemetry=None,
-) -> HopStatistics:
-    """One policy's own-universe stable run (fault-injected comparisons
-    and the telemetry/trace drivers).
-
-    Setup faults (one crash burst, a static partition) land *after*
-    frequency seeding and auxiliary installation, so every surviving node
-    carries stale pointers to the burst victims — the stress the retry /
-    failover machinery is measured under. Per-lookup samples are kept so
-    robustness reports can quote latency percentiles.
-    """
-    registry = SeedSequenceRegistry(config.seed)
-    bench = _Bench(config, registry)
-    if config.learned_frequencies:
-        generator = bench.query_generator("warmup-queries")
-        alive = bench.overlay.alive_ids()
-        for query in generator.stream(config.effective_warmup_queries, lambda: alive):
-            bench.lookup(query.source, query.item, record_access=True)
-    else:
-        bench.seed_all()
-    optimal, oblivious = bench.policies()
-    policy = optimal if policy_name == "optimal" else oblivious
-    # Allocation happens pre-fault (both universes share seeds, so the
-    # curves — and hence the quotas — are identical across policies).
-    allocation = _budget_allocation(bench, config)
-    tel = _normalize_telemetry(telemetry)
-    bench.overlay.attach_telemetry(tel)
-    _install_policy_tables(
-        bench.overlay, config, policy, registry.fresh(f"policy-rng-{policy_name}"), allocation
-    )
-    plane: FaultPlane | None = None
-    if config.faults_active:
-        # The plane's stream depends only on the seed, not the policy:
-        # both universes realize the same burst, partition and loss
-        # pattern.
-        plane = FaultPlane(config.faults, registry.fresh("fault-plane"))
-        apply_stable_faults(plane, bench.overlay, telemetry=tel)
-    retry = config.effective_retry
-    workload = bench.workload_stream("queries", horizon=config.queries / DEFAULT_RATE)
-    stats = HopStatistics(keep_samples=True)
-    alive = bench.overlay.alive_ids()
-    recorder = tel.recorder if tel is not None else None
-    boundaries = _round_boundaries(config.queries, tel.rounds) if tel is not None else ()
-    next_boundary = 0
-    for index, query in enumerate(workload.stream(config.queries, lambda: alive), start=1):
-        if plane is not None:
-            maybe_corrupt(plane, bench.overlay, telemetry=tel)
-        stats.record(
-            bench.lookup(
-                query.source,
-                query.item,
-                record_access=False,
-                retry=retry,
-                faults=plane,
-                trace=recorder,
-            )
-        )
-        while next_boundary < len(boundaries) and boundaries[next_boundary] == index:
-            tel.sample_round(alive=bench.overlay.alive_count())
-            next_boundary += 1
-    return stats
+        if not flat.size:
+            break
+        route(snapshot, flat[0::2], flat[1::2]).fold_into(stats)
 
 
 # ----------------------------------------------------------------------

@@ -18,11 +18,12 @@ from __future__ import annotations
 
 from repro.sim.metrics import HopStatistics
 from repro.sim.runner import (
+    _POLICIES,
     ChurnConfig,
     ExperimentConfig,
     _round_boundaries,
     _run_churn_once,
-    _run_stable_once,
+    _stable_policy,
 )
 from repro.telemetry.export import build_metrics_document
 from repro.telemetry.runtime import DEFAULT_ROUNDS, RoundTelemetry
@@ -31,8 +32,6 @@ from repro.util.jsonfmt import json_float
 from repro.util.parallel import run_tasks
 
 __all__ = ["metrics_cell", "metrics_document"]
-
-_POLICIES = ("optimal", "oblivious")
 
 
 def _stats_summary(stats: HopStatistics) -> dict:
@@ -63,7 +62,7 @@ def metrics_cell(config: ExperimentConfig, policy: str, rounds: int = DEFAULT_RO
     if isinstance(config, ChurnConfig):
         stats = _run_churn_once(config, policy, telemetry=telemetry)
     else:
-        stats = _run_stable_once(config, policy, telemetry=telemetry)
+        stats = _stable_policy(config, policy, telemetry=telemetry)[0]
     return {
         "policy": policy,
         "rounds_sampled": telemetry.registry.rounds_sampled,

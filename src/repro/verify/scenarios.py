@@ -58,7 +58,7 @@ from repro.sim.metrics import HopStatistics
 from repro.util.errors import ConfigurationError
 from repro.util.ids import IdSpace
 from repro.util.rng import SeedSequenceRegistry, substream_seed
-from repro.engine.dispatch import COLUMNAR_MAX_BITS, numpy_or_none
+from repro.engine.dispatch import COLUMNAR_MAX_BITS
 from repro.verify.invariants import (
     Violation,
     check_budget_feasibility,
@@ -611,7 +611,7 @@ class _Engine:
         responsible is only an obligation when the object routers would
         accept it without timeouts.
         """
-        if numpy_or_none() is None or self.space.bits > COLUMNAR_MAX_BITS:
+        if self.space.bits > COLUMNAR_MAX_BITS:
             return
         if not self._snapshot_safe():
             return

@@ -98,11 +98,6 @@ def test_optimal_dominates_oblivious_and_empty(seed):
 def test_scalar_oracle_matches_vectorized_path(seed):
     """The independent scalar cost loop and the NumPy kernel agree exactly
     on the same pointer sets (the PR-1 oracle-dispatch contract)."""
-    numpy = None
-    try:
-        import numpy  # noqa: F401
-    except ImportError:
-        pass
     rng = random.Random(seed)
     problem = random_problem(rng, bits=12, peers=20, cores=2, k=4)
     for auxiliary in (
@@ -116,11 +111,10 @@ def test_scalar_oracle_matches_vectorized_path(seed):
         assert math.isclose(
             evaluate(problem, auxiliary, "kademlia"), scalar, abs_tol=1e-9
         )
-        if numpy is not None:
-            vectorized = kademlia_cost_vectorized(
-                problem.space, problem.frequencies, problem.core_neighbors, auxiliary
-            )
-            assert math.isclose(vectorized, scalar, abs_tol=1e-9)
+        vectorized = kademlia_cost_vectorized(
+            problem.space, problem.frequencies, problem.core_neighbors, auxiliary
+        )
+        assert math.isclose(vectorized, scalar, abs_tol=1e-9)
 
 
 @settings(max_examples=15, deadline=None)
