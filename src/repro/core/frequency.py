@@ -61,8 +61,17 @@ def _top_items(estimates: dict[int, float], limit: int | None) -> dict[int, floa
     """Keep the ``limit`` highest-frequency entries (deterministic tie-break)."""
     if limit is None or len(estimates) <= limit:
         return dict(estimates)
-    top = heapq.nlargest(limit, estimates.items(), key=lambda kv: (kv[1], -kv[0]))
-    return dict(top)
+    total = sum(estimates.values())
+    if total != total or set(map(type, estimates)) != {int}:
+        # A NaN weight has no place in a sort order, and the tie-break
+        # negates ids: keep the heap's own answer (or error) for these.
+        return dict(heapq.nlargest(limit, estimates.items(), key=lambda kv: (kv[1], -kv[0])))
+    # Ids ascending, then a stable sort by descending weight: the order
+    # ``nlargest`` returns, since every (weight, -id) key is distinct. A
+    # negative limit keeps nothing, as ``nlargest`` does.
+    peers = sorted(estimates)
+    peers.sort(key=estimates.__getitem__, reverse=True)
+    return {peer: estimates[peer] for peer in peers[: max(limit, 0)]}
 
 
 class ExactFrequencyTable:

@@ -180,9 +180,13 @@ def select_pastry_oblivious(
     space = problem.space
     source = problem.source
     candidates = _candidate_pool(problem, pool)
+    ordered = sorted(candidates)
+    if pool is not None and not space.all_plain_ids(ordered):
+        for peer in ordered:
+            space.common_prefix_length(source, peer)  # raises on the first bad id
     by_class: dict[int, list[int]] = defaultdict(list)
-    for peer in sorted(candidates):
-        by_class[space.common_prefix_length(source, peer)].append(peer)
+    for peer in ordered:
+        by_class[space.bits - (source ^ peer).bit_length()].append(peer)
     quotas = _class_quotas(problem.k, len(by_class))
     chosen: set[int] = set()
     # Short-prefix classes hold most peers; cover them first.

@@ -21,7 +21,8 @@ Four solvers are provided:
   two candidate splits per budget level (eq. 4). It never builds a
   :class:`~repro.core.trie.PeerTrie`: the compressed trie is the
   Cartesian tree of the sorted ids' adjacent-LCP array, built and merged
-  in one stack pass over flat per-vertex lists (DESIGN.md §16).
+  in one stack pass, each subtree carrying its nesting-order list
+  instead of splits (DESIGN.md §16).
 * :func:`select_pastry_greedy_trie` — the same eq.-4 merge run over a
   :class:`~repro.core.trie.PeerTrie`; the exact oracle the flat greedy is
   tested and ``repro check``-ed against (same set, same cost bits).
@@ -110,13 +111,8 @@ def _merge_dp(vertex: TrieVertex, k: int) -> _CostTable:
     (eq. 3). ``O(k^2)`` per vertex."""
     children = vertex.child_order()
     jmax = min(k, vertex.eligible_count)
-    if not children:
-        table = _CostTable([0.0], [0])
-    elif len(children) == 1:
-        child = children[0]
-        child_max = len(child.memo.costs) - 1  # type: ignore[union-attr]
-        costs = [_child_cost(child, min(j, child_max)) for j in range(jmax + 1)]
-        table = _CostTable(costs, [min(j, child_max) for j in range(jmax + 1)])
+    if len(children) < 2:
+        table = _merge_greedy(vertex, k)  # one way to split: the same table
     elif jmax >= _DP_VECTOR_MIN_BUDGET:
         table = _merge_dp_vectorized(vertex, jmax)
     else:
@@ -217,14 +213,22 @@ def _build_trie(problem: SelectionProblem) -> PeerTrie:
     return trie
 
 
-def _fill_tables(trie: PeerTrie, k: int, use_dp: bool) -> None:
-    """Bottom-up pass computing every vertex's cost table."""
+def _fill_tables(vertex: TrieVertex, k: int, use_dp: bool) -> None:
+    """Bottom-up pass computing the cost table of ``vertex`` and of every
+    vertex below it (children first, as :meth:`PeerTrie.postorder`)."""
     merge = _merge_dp if use_dp else _merge_greedy
-    for vertex in trie.postorder():
-        if vertex.is_leaf:
-            vertex.memo = _leaf_table(vertex, k)
-        else:
-            vertex.memo = merge(vertex, k)
+    stack: list[tuple[TrieVertex, bool]] = [(vertex, False)]
+    while stack:
+        current, expanded = stack.pop()
+        if current.is_leaf:
+            current.memo = _leaf_table(current, k)
+            continue
+        if expanded:
+            current.memo = merge(current, k)
+            continue
+        stack.append((current, True))
+        for child in current.child_order():
+            stack.append((child, False))
 
 
 def _collect_selection(vertex: TrieVertex, budget: int, out: list[int]) -> None:
@@ -273,7 +277,7 @@ def select_pastry_dp(problem: SelectionProblem) -> SelectionResult:
     be met with ``k`` pointers.
     """
     trie = _build_trie(problem)
-    _fill_tables(trie, problem.k, use_dp=True)
+    _fill_tables(trie.root, problem.k, use_dp=True)
     return _result_from_trie(trie, problem.k, "pastry-dp")
 
 
@@ -284,7 +288,7 @@ def select_pastry_greedy_trie(problem: SelectionProblem) -> SelectionResult:
     if problem.delay_bounds:
         raise ConfigurationError("greedy solver does not support delay bounds; use select_pastry_dp")
     trie = _build_trie(problem)
-    _fill_tables(trie, problem.k, use_dp=False)
+    _fill_tables(trie.root, problem.k, use_dp=False)
     return _result_from_trie(trie, problem.k, "pastry-greedy")
 
 
@@ -294,11 +298,13 @@ def select_pastry_greedy(problem: SelectionProblem) -> SelectionResult:
 
     Flat form of :func:`select_pastry_greedy_trie` (DESIGN.md §16). The
     sorted ids' adjacent LCPs define the compressed trie as their
-    Cartesian tree: a right-spine stack emits its vertices in post-order
-    into flat lists, and each internal vertex is merged (eq. 4) as soon as
-    both children are done. Aggregates, edge penalties, tie-break and
-    reconstruction order mirror the trie solver operation for operation,
-    so the result is bit-identical to it.
+    Cartesian tree: a right-spine stack merges each internal vertex
+    (eq. 4) as soon as both children are done. By the nesting property
+    each vertex's optimal ``j``-set is the first ``j`` entries of one
+    list, so a subtree carries that ``order`` instead of its splits, and
+    a merge interleaves its children's lists in eq.-4 order. Aggregates,
+    edge penalties and tie-break mirror the trie solver operation for
+    operation, so the result is bit-identical to it.
     """
     if problem.delay_bounds:
         raise ConfigurationError("greedy solver does not support delay bounds; use select_pastry_dp")
@@ -313,111 +319,67 @@ def select_pastry_greedy(problem: SelectionProblem) -> SelectionResult:
     # sentinel after the last leaf closes the whole right spine.
     lcps = [bits - (a ^ b).bit_length() for a, b in zip(ids, ids[1:])]
     lcps.append(-1)
-    # Per-vertex state in post-order; leaves carry their peer, internal
-    # vertices their children and eq.-4 splits.
-    depth: list[int] = []
-    mass: list[float] = []
-    core_below: list[bool] = []
-    eligible: list[int] = []
-    costs: list[list[float]] = []
-    splits: list[list[int] | None] = []
-    left: list[int] = []
-    right: list[int] = []
-    leaf_peer: list[int | None] = []
-    # Right spine: (depth, finished left child) of vertices awaiting their
-    # right child, depths strictly increasing (a binary trie has exactly
-    # one adjacent pair at each split, so no two entries tie).
-    spine: list[tuple[int, int]] = []
+    # Right spine: (split depth, left child's depth, mass, core_below,
+    # costs, order) of vertices awaiting their right child; split depths
+    # strictly increase (a binary trie splits once per adjacent pair).
+    spine: list[tuple[int, int, float, bool, list[float], list[int]]] = []
     for peer, split_depth in zip(ids, lcps):
-        current = len(depth)
-        is_core = peer in core
-        depth.append(bits)
-        mass.append(frequencies.get(peer, 0.0))
-        core_below.append(is_core)
-        eligible.append(0 if is_core else 1)
-        costs.append([0.0] if is_core or k < 1 else [0.0, 0.0])
-        splits.append(None)
-        left.append(-1)
-        right.append(-1)
-        leaf_peer.append(peer)
+        depth = bits
+        mass = frequencies.get(peer, 0.0)
+        core_below = peer in core
+        if core_below or k < 1:
+            costs, order = [0.0], []
+        else:
+            costs, order = [0.0, 0.0], [peer]
         while spine and spine[-1][0] > split_depth:
-            vertex_depth, first = spine.pop()
-            second = current
-            first_costs = costs[first]
-            second_costs = costs[second]
+            vertex_depth, first_depth, first_mass, first_core, first_costs, first_order = spine.pop()
             # Edge penalty of an empty child subtree (eq. 2), folded into
             # its j = 0 entry: every child is merged into one parent only.
-            if not core_below[first]:
-                first_costs[0] += (depth[first] - vertex_depth) * mass[first]
-            if not core_below[second]:
-                second_costs[0] += (depth[second] - vertex_depth) * mass[second]
-            first_max = len(first_costs) - 1
-            second_max = len(second_costs) - 1
-            count = eligible[first] + eligible[second]
-            row = [first_costs[0] + second_costs[0]]
-            shares = [0]
+            if not first_core:
+                first_costs[0] += (first_depth - vertex_depth) * first_mass
+            if not core_below:
+                costs[0] += (depth - vertex_depth) * mass
+            first_max = len(first_order)
+            second_max = len(order)
+            row = [first_costs[0] + costs[0]]
+            merged: list[int] = []
             share_first = share_second = 0
-            for _ in range(min(k, count)):
-                grow_first = (
-                    first_costs[share_first + 1] + second_costs[share_second]
-                    if share_first < first_max
-                    else _INF
-                )
-                grow_second = (
-                    first_costs[share_first] + second_costs[share_second + 1]
-                    if share_second < second_max
-                    else _INF
-                )
+            # Costs overflowing to inf can make ``<=`` pick an exhausted
+            # first side, as in the trie oracle: a None no finite result uses.
+            for _ in range(min(k, first_max + second_max)):
+                grow_first = first_costs[share_first + 1] + costs[share_second] if share_first < first_max else _INF
+                grow_second = first_costs[share_first] + costs[share_second + 1] if share_second < second_max else _INF
                 if grow_first <= grow_second:
                     row.append(grow_first)
+                    merged.append(first_order[share_first] if share_first < first_max else None)
                     share_first += 1
                 else:
                     row.append(grow_second)
+                    merged.append(order[share_second])
                     share_second += 1
-                shares.append(share_first)
-            current = len(depth)
-            depth.append(vertex_depth)
+            depth = vertex_depth
             # ``0 +`` reproduces ``sum()`` over the two children exactly.
-            mass.append(0 + mass[first] + mass[second])
-            core_below.append(core_below[first] or core_below[second])
-            eligible.append(count)
-            costs.append(row)
-            splits.append(shares)
-            left.append(first)
-            right.append(second)
-            leaf_peer.append(None)
-        spine.append((split_depth, current))
-    top = current
-    table = costs[top]
-    total = mass[top]
-    if depth[top] > 0:
+            mass = 0 + first_mass + mass
+            core_below = first_core or core_below
+            costs, order = row, merged
+        spine.append((split_depth, depth, mass, core_below, costs, order))
+    total = mass
+    if depth > 0:
         # The trie's root sits at depth 0. A unary root passes every budget
         # to its single child: its table is the child's plus the edge
         # penalty, its F is ``sum()`` over that one child.
-        if not core_below[top]:
-            table[0] += depth[top] * mass[top]
+        if not core_below:
+            costs[0] += depth * mass
         total = 0 + total
-    budget = min(k, len(table) - 1)
+    budget = min(k, len(order))
     # Without delay bounds only an overflowing cost is infinite; the trie
     # oracle raises the same error for it.
-    if table[budget] == _INF:
+    if costs[budget] == _INF:
         raise InfeasibleConstraintError(
             f"QoS delay bounds cannot be met with k={k} auxiliary pointers"
         )
-    chosen: list[int] = []
-    pending = [(top, budget)]
-    while pending:
-        vertex, share = pending.pop()
-        if share == 0:
-            continue
-        peer = leaf_peer[vertex]
-        if peer is not None:
-            chosen.append(peer)
-            continue
-        first_share = splits[vertex][share]  # type: ignore[index]
-        pending.append((right[vertex], share - first_share))
-        pending.append((left[vertex], first_share))
-    return SelectionResult(frozenset(chosen), table[budget] + total, "pastry-greedy")
+    # Ascending ids: the trie oracle's left-to-right emission order.
+    return SelectionResult(frozenset(sorted(order[:budget])), costs[budget] + total, "pastry-greedy")
 
 
 def select_pastry(problem: SelectionProblem) -> SelectionResult:
@@ -529,7 +491,7 @@ class IncrementalPastrySelector:
 
     def rebuild(self) -> None:
         """Recompute every memo table from scratch."""
-        _fill_tables(self._trie, self.k, use_dp=bool(self._delay_bounds))
+        _fill_tables(self._trie.root, self.k, use_dp=bool(self._delay_bounds))
 
     # -- queries --------------------------------------------------------
     def selection(self) -> SelectionResult:
@@ -568,22 +530,5 @@ class IncrementalPastrySelector:
                         # A structural change can hang a pre-existing
                         # subtree under a fresh split vertex; its table is
                         # still valid, but a brand-new sibling needs one.
-                        _fill_tables_subtree(child, self.k, use_dp)
+                        _fill_tables(child, self.k, use_dp)
                 vertex.memo = merge(vertex, self.k)
-
-
-def _fill_tables_subtree(vertex: TrieVertex, k: int, use_dp: bool) -> None:
-    """Fill missing tables below ``vertex`` (used for fresh split vertices)."""
-    merge = _merge_dp if use_dp else _merge_greedy
-    stack: list[tuple[TrieVertex, bool]] = [(vertex, False)]
-    while stack:
-        current, expanded = stack.pop()
-        if current.is_leaf:
-            current.memo = _leaf_table(current, k)
-            continue
-        if expanded:
-            current.memo = merge(current, k)
-            continue
-        stack.append((current, True))
-        for child in current.child_order():
-            stack.append((child, False))

@@ -5,8 +5,8 @@ core neighbors) as leaves of a binary trie of their ids. This pointer trie
 backs the solvers that need vertex state between passes: the QoS dynamic
 program (subtree markers), the incremental selector (Section IV-C path
 refresh) and the trie-greedy oracle. The runtime greedy of
-:mod:`repro.core.pastry_selection` builds the same tree as flat lists
-instead (DESIGN.md §16). The paper uses an
+:mod:`repro.core.pastry_selection` builds the same tree in one stack
+pass without pointer vertices instead (DESIGN.md §16). The paper uses an
 uncompressed trie with ``O(n b)`` vertices; we path-compress unary chains
 into single edges carrying a ``length`` multiplier, which yields exactly
 the same dynamic-programming values with only ``O(n)`` vertices (a chain of

@@ -9,6 +9,7 @@ tests construct problems uniformly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -51,19 +52,30 @@ class SelectionProblem:
     delay_bounds: Mapping[int, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        self.space.validate(self.source, "source id")
+        space = self.space
+        space.validate(self.source, "source id")
         require_non_negative_int(self.k, "k")
-        require_frequencies(self.frequencies)
-        for peer in self.frequencies:
-            self.space.validate(peer, "peer id")
+        # One bulk pass per collection (a finite sum rules out NaN and inf
+        # weights); only when it fails does the per-item loop run, to raise
+        # the first bad entry's error or accept, e.g., an overflowing sum.
+        weights = self.frequencies.values()
+        try:
+            bulk = not weights or (min(weights) >= 0 and math.isfinite(sum(weights)))
+        except (TypeError, OverflowError):
+            bulk = False
+        if not (bulk and space.all_plain_ids(self.frequencies)):
+            require_frequencies(self.frequencies)
+            for peer in self.frequencies:
+                space.validate(peer, "peer id")
         if self.source in self.frequencies:
             raise ConfigurationError("frequencies must not include the source node itself")
-        for neighbor in self.core_neighbors:
-            self.space.validate(neighbor, "core neighbor id")
+        if not space.all_plain_ids(self.core_neighbors):
+            for neighbor in self.core_neighbors:
+                space.validate(neighbor, "core neighbor id")
         if self.source in self.core_neighbors:
             raise ConfigurationError("core_neighbors must not include the source node itself")
         for peer, bound in self.delay_bounds.items():
-            self.space.validate(peer, "QoS peer id")
+            space.validate(peer, "QoS peer id")
             if not isinstance(bound, int) or bound < 1:
                 raise ConfigurationError(f"delay bound for peer {peer} must be an int >= 1, got {bound!r}")
 

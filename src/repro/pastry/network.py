@@ -409,33 +409,34 @@ class PastryNetwork:
         For each cell the candidate ids form a contiguous range; we sample
         up to ``core_samples`` live ids from it and keep the proximally
         closest — approximating FreePastry's proximity-aware table fill.
+
+        Row ``r``'s cells split the range of ids sharing the node's first
+        ``r`` digits; the walk stops at the first row whose range holds the
+        node alone, as deeper cells are empty and draw nothing (DESIGN.md §5).
         """
-        space = self.space
         alive = self._alive
+        samples = self.core_samples
+        randrange = self._maintenance_rng.randrange
+        closest = self.proximity.closest
         entries: set[int] = set()
-        rows = space.num_digits(self.digit_bits)
-        for row in range(rows):
-            prefix_bits = row * self.digit_bits
-            width = min(self.digit_bits, space.bits - prefix_bits)
-            own_digit = space.digit_at(node_id, row, self.digit_bits)
-            suffix_bits = space.bits - prefix_bits - width
-            base = space.prefix(node_id, prefix_bits) << (space.bits - prefix_bits)
+        digit_bits = self.digit_bits
+        suffix_bits = self.space.bits
+        # [lo, hi) indexes the live ids sharing the digits walked so far.
+        lo, hi = 0, len(alive)
+        while hi - lo > 1 or (hi > lo and alive[lo] != node_id):
+            width = min(digit_bits, suffix_bits)
+            suffix_bits -= width
+            own_digit = (node_id >> suffix_bits) & ((1 << width) - 1)
+            base = (node_id >> (suffix_bits + width)) << (suffix_bits + width)
+            start = lo
             for digit in range(1 << width):
+                stop = bisect_left(alive, base + ((digit + 1) << suffix_bits), start, hi)
                 if digit == own_digit:
-                    continue
-                low = base | (digit << suffix_bits)
-                high = low + (1 << suffix_bits)  # exclusive
-                lo_index = bisect_left(alive, low)
-                hi_index = bisect_left(alive, high)
-                count = hi_index - lo_index
-                if count <= 0:
-                    continue
-                if count <= self.core_samples:
-                    sample = alive[lo_index:hi_index]
-                else:
-                    sample = [
-                        alive[self._maintenance_rng.randrange(lo_index, hi_index)]
-                        for __ in range(self.core_samples)
-                    ]
-                entries.add(self.proximity.closest(node_id, list(sample)))
+                    lo, next_hi = start, stop
+                elif stop - start > samples:
+                    entries.add(closest(node_id, [alive[randrange(start, stop)] for __ in range(samples)]))
+                elif stop > start:
+                    entries.add(closest(node_id, alive[start:stop]))
+                start = stop
+            hi = next_hi
         return entries

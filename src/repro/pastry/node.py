@@ -81,11 +81,16 @@ class PastryNode:
         row = space.common_prefix_length(self.node_id, other) // self.digit_bits
         return row, space.digit_at(other, row, self.digit_bits)
 
-    def _add_to_cell(self, other: int) -> None:
-        self.cells.setdefault(self.cell_key(other), set()).add(other)
+    def _cell_of(self, other: int) -> tuple[int, int]:
+        """Unchecked :meth:`cell_key` for a valid id other than the node's."""
+        bits = self.space.bits
+        digit_bits = self.digit_bits
+        row = (bits - (self.node_id ^ other).bit_length()) // digit_bits
+        high = bits - row * digit_bits
+        low = high - digit_bits if high > digit_bits else 0
+        return row, (other >> low) & ((1 << (high - low)) - 1)
 
-    def _remove_from_cell(self, other: int) -> None:
-        key = self.cell_key(other)
+    def _discard(self, key: tuple[int, int], other: int) -> None:
         bucket = self.cells.get(key)
         if bucket is not None:
             bucket.discard(other)
@@ -97,39 +102,43 @@ class PastryNode:
         of the cell addressed by the key's first digit mismatch."""
         if key == self.node_id:
             return set()
-        space = self.space
-        row = space.common_prefix_length(self.node_id, key) // self.digit_bits
-        digit = space.digit_at(key, row, self.digit_bits)
-        return self.cells.get((row, digit), set())
+        return self.cells.get(self.cell_key(key), set())
 
     # ------------------------------------------------------------------
     # Neighbor-set maintenance
     # ------------------------------------------------------------------
     def set_core(self, entries: set[int]) -> None:
         """Replace the core routing-table entries."""
-        for old in self.core - entries - self.auxiliary - self.leaves:
-            self._remove_from_cell(old)
+        old = self.core
         self.core = {entry for entry in entries if entry != self.node_id}
-        for entry in self.core:
-            self._add_to_cell(entry)
+        self._reconcile(old, self.core, self.leaves, self.auxiliary)
 
     def set_leaves(self, entries: set[int]) -> None:
         """Replace the leaf set. Leaf entries also count as routing
         candidates (Pastry consults both structures)."""
-        for old in self.leaves - entries - self.core - self.auxiliary:
-            self._remove_from_cell(old)
+        old = self.leaves
         self.leaves = {entry for entry in entries if entry != self.node_id}
         self._leaf_cache = None
-        for entry in self.leaves:
-            self._add_to_cell(entry)
+        self._reconcile(old, self.leaves, self.core, self.auxiliary)
 
     def set_auxiliary(self, pointers: set[int]) -> None:
         """Install a new auxiliary set (selection output)."""
-        for old in self.auxiliary - pointers - self.core - self.leaves:
-            self._remove_from_cell(old)
+        old = self.auxiliary
         self.auxiliary = {p for p in pointers if p != self.node_id}
-        for pointer in self.auxiliary:
-            self._add_to_cell(pointer)
+        self._reconcile(old, self.auxiliary, self.core, self.leaves)
+
+    def _reconcile(self, old: set[int], new: set[int], other: set[int], third: set[int]) -> None:
+        """Update ``cells`` after one neighbor set went from ``old`` to
+        ``new``: drop ids no set holds any more, then file the new ones in
+        ``new``'s order. Ids held throughout already sit in their cell, so
+        ``cells`` ends exactly as a full re-add of ``new`` would leave it."""
+        cell_of = self._cell_of
+        for gone in old - new - other - third:
+            self._discard(cell_of(gone), gone)
+        cells = self.cells
+        for entry in new:
+            if entry not in old and entry not in other and entry not in third:
+                cells.setdefault(cell_of(entry), set()).add(entry)
 
     def evict(self, dead_id: int) -> None:
         """Drop a neighbor discovered dead via a lookup timeout."""
@@ -138,7 +147,7 @@ class PastryNode:
         if dead_id in self.leaves:
             self.leaves.discard(dead_id)
             self._leaf_cache = None
-        self._remove_from_cell(dead_id)
+        self._discard(self.cell_key(dead_id), dead_id)
 
     def neighbor_ids(self) -> set[int]:
         """Every currently-known neighbor."""

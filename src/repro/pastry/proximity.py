@@ -48,4 +48,7 @@ class ProximityModel:
     def closest(self, origin: int, candidates: list[int]) -> int:
         """The candidate with the lowest latency to ``origin`` (ties break
         on id for determinism). ``candidates`` must be non-empty."""
-        return min(candidates, key=lambda c: (self.latency(origin, c), c))
+        # ``math.dist`` is :meth:`latency`'s ``hypot`` of the differences,
+        # bit for bit, with the origin's point looked up once.
+        point = self.coordinates(origin)
+        return min(candidates, key=lambda c: (math.dist(point, self.coordinates(c)), c))

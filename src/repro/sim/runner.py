@@ -130,6 +130,10 @@ class ExperimentConfig:
             raise ConfigurationError(f"alpha must be positive, got {self.alpha}")
         if self.k is not None and self.k < 0:
             raise ConfigurationError(f"k must be non-negative, got {self.k}")
+        limit = self.frequency_limit
+        if limit is not None and (not isinstance(limit, int) or isinstance(limit, bool) or limit < 0):
+            # A negative limit would silently empty every snapshot.
+            raise ConfigurationError(f"frequency_limit must be None or a non-negative integer, got {limit!r}")
         if self.budget_mode not in ("uniform", "allocated"):
             raise ConfigurationError(
                 f"unknown budget_mode {self.budget_mode!r}; expected 'uniform' or 'allocated'"

@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Collection
 
 from repro.util.errors import IdSpaceError
 
@@ -65,6 +66,12 @@ class IdSpace:
     def contains(self, value: int) -> bool:
         """Return ``True`` when ``value`` is a valid identifier."""
         return isinstance(value, int) and 0 <= value < self.size
+
+    def all_plain_ids(self, values: Collection[int]) -> bool:
+        """Bulk :meth:`validate`: ``True`` when every value is a plain
+        ``int`` inside the space. ``False`` (also for a ``bool``) means
+        only that callers must validate item by item."""
+        return not values or (set(map(type, values)) == {int} and min(values) >= 0 and max(values) < self.size)
 
     def validate(self, value: int, what: str = "identifier") -> int:
         """Return ``value`` unchanged, raising :class:`IdSpaceError` if invalid."""

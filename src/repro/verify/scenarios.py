@@ -21,9 +21,9 @@ applicable invariant from :mod:`repro.verify.invariants`:
   :class:`~repro.obs.attribution.AttributionRecorder` rides the same
   lookups through a tee);
 * after every *snapshot-safe* step (all live pointers live, so the
-  columnar image is defined): engine snapshot coherence, plus — on clean
-  steps — batched columnar lookups replayed through the same routing
-  progress/termination oracles.
+  columnar image is defined; Pastry only with binary digits): engine
+  snapshot coherence, plus — on clean steps — batched columnar lookups
+  replayed through the same routing progress/termination oracles.
 
 The engine tracks a ``clean`` flag — true when the overlay is fully
 stabilized and no message loss is configured — under which the strongest
@@ -304,8 +304,11 @@ class _Engine:
             )
             self.policy = kademlia_optimal
         else:
+            # Binary or multi-bit digits, drawn from their own substream
+            # so every other draw of the scenario stays where it was.
+            digit_bits = self.registry.stream("pastry-digit-bits").choice((1, 2, 4))
             self.overlay = PastryNetwork.build(
-                scenario.n, space=self.space, seed=overlay_seed
+                scenario.n, space=self.space, seed=overlay_seed, digit_bits=digit_bits
             )
             self.policy = pastry_optimal
         self._seed_workload()
@@ -613,6 +616,8 @@ class _Engine:
         """
         if self.space.bits > COLUMNAR_MAX_BITS:
             return
+        if self.kind == "pastry" and self.overlay.digit_bits != 1:
+            return  # the columnar Pastry image holds binary digits only
         if not self._snapshot_safe():
             return
         self._record(

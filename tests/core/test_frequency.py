@@ -1,12 +1,13 @@
 """Unit tests for the frequency trackers (exact, Space-Saving, Lossy Counting)."""
 
+import heapq
 import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.frequency import ExactFrequencyTable, LossyCountingSketch, SpaceSavingSketch
+from repro.core.frequency import ExactFrequencyTable, LossyCountingSketch, SpaceSavingSketch, _top_items
 from repro.util.errors import ConfigurationError
 
 
@@ -168,3 +169,34 @@ def test_trackers_agree_on_small_streams(stream):
         saving.observe(peer)
         lossy.observe(peer)
     assert exact.snapshot() == saving.snapshot() == lossy.snapshot()
+
+
+class TestTopItems:
+    """``_top_items`` sorts instead of keeping a heap; it must return what
+    ``heapq.nlargest`` returns, item for item and in order."""
+
+    @staticmethod
+    def heap_top(estimates, limit):
+        return list(heapq.nlargest(limit, estimates.items(), key=lambda kv: (kv[1], -kv[0])))
+
+    @given(
+        st.dictionaries(
+            st.integers(-50, 10**12),
+            st.one_of(st.integers(0, 3).map(float), st.integers(0, 3), st.floats(0, 1e6), st.just(float("nan"))),
+            max_size=40,
+        ),
+        st.integers(-2, 2),
+    )
+    def test_matches_nlargest(self, estimates, offset):
+        for limit in (-1, 0, 1, len(estimates) + offset, len(estimates) + 1):
+            got = list(_top_items(estimates, limit).items())
+            if len(estimates) <= limit:
+                assert got == list(estimates.items())  # no cut: kept whole, in order
+            else:
+                assert got == self.heap_top(estimates, limit)
+
+    def test_ties_break_on_lower_id(self):
+        estimates = {9: 2.0, 3: 2.0, 5: 1.0, 7: 2.0}
+        assert list(_top_items(estimates, 2)) == [3, 7]
+        assert _top_items(estimates, -1) == {}
+        assert _top_items(estimates, None) == estimates

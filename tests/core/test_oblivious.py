@@ -11,6 +11,7 @@ from repro.core.oblivious import (
     select_pastry_oblivious,
     select_uniform_random,
 )
+from repro.util.errors import IdSpaceError
 from tests.helpers import problem_from_lists, random_problem
 
 
@@ -124,6 +125,18 @@ class TestPastryOblivious:
         problem = problem_from_lists(8, 0, weights, [], k=8)
         result = select_pastry_oblivious(problem, random.Random(3))
         assert result.auxiliary == set(weights)
+
+    @pytest.mark.parametrize("bad", [-1, 256, 2.5])
+    def test_rejects_bad_pool_ids_like_common_prefix_length(self, bad):
+        problem = problem_from_lists(8, 0, {5: 1.0}, [], k=2)
+        with pytest.raises(IdSpaceError) as excinfo:
+            select_pastry_oblivious(problem, random.Random(0), pool=[3, bad, 7])
+        assert str(excinfo.value) == f"id b {bad!r} outside [0, 2**8)"
+
+    def test_bool_pool_entry_passes_as_before(self):
+        problem = problem_from_lists(8, 0, {5: 1.0}, [], k=3)
+        result = select_pastry_oblivious(problem, random.Random(0), pool=[True, 5, 9])
+        assert result.auxiliary == {True, 5, 9}
 
     def test_cost_is_reported_correctly(self):
         rng = random.Random(5)

@@ -1,7 +1,7 @@
 """The flat prefix greedy ``select_pastry_greedy`` against the trie oracle.
 
 The flat solver builds the compressed trie as the Cartesian tree of the
-sorted ids' adjacent-LCP array and runs the eq.-4 merge over flat lists.
+sorted ids' adjacent-LCP array and runs the eq.-4 merge in one stack pass.
 It must return exactly what ``select_pastry_greedy_trie`` returns: the
 same auxiliary set, a bit-identical cost and the same label — for ties,
 signed zeros, integer weights, every core layout, every budget and every

@@ -1,6 +1,7 @@
 """Unit tests for the Pastry network: membership, tables, responsibility."""
 
 import random
+from bisect import bisect_left
 
 import pytest
 
@@ -81,6 +82,67 @@ class TestTables:
         # true optimum (sampling keeps it within the candidate set).
         for entry in node.core:
             assert network.nodes[entry].alive
+
+
+def _full_row_core(network, node_id):
+    """The locality core walked over every (row, digit) cell with the
+    checked :class:`IdSpace` arithmetic: the reference for the early row
+    exit, which must pick the same entries and draw the same numbers."""
+    space = network.space
+    alive = network._alive
+    entries = set()
+    for row in range(space.num_digits(network.digit_bits)):
+        prefix_bits = row * network.digit_bits
+        width = min(network.digit_bits, space.bits - prefix_bits)
+        own_digit = space.digit_at(node_id, row, network.digit_bits)
+        suffix_bits = space.bits - prefix_bits - width
+        base = space.prefix(node_id, prefix_bits) << (space.bits - prefix_bits)
+        for digit in range(1 << width):
+            if digit == own_digit:
+                continue
+            low = base | (digit << suffix_bits)
+            lo_index = bisect_left(alive, low)
+            hi_index = bisect_left(alive, low + (1 << suffix_bits))
+            count = hi_index - lo_index
+            if count <= 0:
+                continue
+            if count <= network.core_samples:
+                sample = alive[lo_index:hi_index]
+            else:
+                sample = [
+                    alive[network._maintenance_rng.randrange(lo_index, hi_index)]
+                    for __ in range(network.core_samples)
+                ]
+            entries.add(network.proximity.closest(node_id, list(sample)))
+    return entries
+
+
+class TestLocalityCoreEarlyExit:
+    @staticmethod
+    def assert_same_cores(network):
+        rng = network._maintenance_rng
+        for node_id in network.alive_ids():
+            before = rng.getstate()
+            want = _full_row_core(network, node_id)
+            want_state = rng.getstate()
+            rng.setstate(before)
+            got = network._locality_core(node_id)
+            assert list(got) == list(want)
+            assert rng.getstate() == want_state
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 64, 256])
+    @pytest.mark.parametrize("bits", [8, 13, 32])
+    @pytest.mark.parametrize("digit_bits", [1, 2, 3, 4, 5])
+    def test_matches_full_row_walk(self, digit_bits, bits, n):
+        network = PastryNetwork.build(n, space=IdSpace(bits), seed=n + bits, digit_bits=digit_bits)
+        self.assert_same_cores(network)
+        victims = random.Random(n).sample(network.alive_ids(), n // 3)
+        for victim in victims:
+            network.crash(victim)
+        self.assert_same_cores(network)
+        for victim in victims[: len(victims) // 2]:
+            network.rejoin(victim)
+        self.assert_same_cores(network)
 
 
 class TestChurn:

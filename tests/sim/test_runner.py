@@ -73,6 +73,18 @@ class TestConfig:
         ExperimentConfig(overlay="chord", k=0)
         ExperimentConfig(overlay="chord", k=None)
 
+    @pytest.mark.parametrize("config_class", [ExperimentConfig, ChurnConfig])
+    @pytest.mark.parametrize("limit", [-1, 2.5, True, False, "8"])
+    def test_rejects_bad_frequency_limit(self, config_class, limit):
+        with pytest.raises(ConfigurationError, match="frequency_limit") as excinfo:
+            config_class(overlay="pastry", n=16, frequency_limit=limit)
+        assert "\n" not in str(excinfo.value)
+
+    @pytest.mark.parametrize("config_class", [ExperimentConfig, ChurnConfig])
+    @pytest.mark.parametrize("limit", [None, 0, 1, 128])
+    def test_accepts_frequency_limit(self, config_class, limit):
+        assert config_class(overlay="pastry", n=16, frequency_limit=limit).frequency_limit == limit
+
     def test_churn_rejects_long_warmup(self):
         with pytest.raises(ConfigurationError):
             ChurnConfig(overlay="chord", duration=100.0, warmup=200.0)
